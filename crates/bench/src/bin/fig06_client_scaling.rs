@@ -9,37 +9,14 @@
 //! ```text
 //! cargo run --release --bin fig06_client_scaling -- --net
 //! ```
-//!
-//! With `--multi N` the networked harness instead measures atomic `multi`
-//! transactions of N sub-operations (one `check` guard plus N-1 `set_data`
-//! writes per batch) against both servers, reporting throughput in
-//! sub-operations per second so the batching amortization is directly
-//! comparable with the single-op mix. When `BENCH_JSON` is set, the
-//! plain-vs-secure batched results are appended to that file in the
-//! regression-guard JSON-lines format.
-//!
-//! ```text
-//! BENCH_JSON=bench-multi.json cargo run --release --bin fig06_client_scaling -- --multi 8
-//! ```
-//!
-//! With `--recipes` the harness measures the transactional *recipes* built
-//! on `multi`'s atomicity — atomic rename (create the new name + delete the
-//! old one in one batch) and CAS counters (version-guarded check + set) —
-//! against both servers, reporting sub-operations per second per recipe:
-//!
-//! ```text
-//! BENCH_JSON=bench-recipes.json cargo run --release --bin fig06_client_scaling -- --recipes
-//! ```
 
-use std::io::Write;
 use std::sync::Arc;
 
 use securekeeper::integration::{secure_standalone, SecureKeeperConfig};
 use securekeeper::SecureSessionCredentials;
 use workload::costmodel::ServiceCostModel;
-use workload::generator::{MultiSpec, RecipeKind, RecipeSpec};
 use workload::metrics::{Figure, Series};
-use workload::netdriver::{run_mixed_get_set, run_multi_batches, run_recipes, NetRunReport};
+use workload::netdriver::run_mixed_get_set;
 use workload::variant::{RequestMode, Variant};
 use zkserver::net::{PlainCredentials, SessionCredentials};
 use zkserver::session::MonotonicClock;
@@ -49,8 +26,6 @@ use zkserver::{ZkReplica, ZkTcpServer};
 const PAYLOAD_BYTES: usize = 1024;
 /// Operations each connection performs in the networked mode.
 const OPS_PER_CLIENT: usize = 400;
-/// Transactions each connection commits in the `--multi` mode.
-const TXNS_PER_CLIENT: usize = 100;
 
 fn run_networked_mode() {
     bench::print_header(
@@ -110,174 +85,7 @@ fn run_networked_mode() {
     bench::print_figure(&figure);
 }
 
-/// Appends one regression-guard row in the JSON-lines format
-/// `scripts/check_bench_regression.py` consumes. The recorded value is the
-/// *derived* ns per sub-operation — the reciprocal of aggregate throughput
-/// at the sweep's highest client count, gated on the slowest worker — not a
-/// sampled latency median; the benchmark key spells that out (the field
-/// name stays `median_ns` because the guard script keys on it).
-fn append_derived_ns_row(path: &str, benchmark: &str, report: &NetRunReport) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    let ns_per_op = 1e9 / report.throughput_rps.max(f64::MIN_POSITIVE);
-    writeln!(file, "{{\"benchmark\":\"{benchmark}\",\"median_ns\":{ns_per_op:.1}}}")
-        .expect("write BENCH_JSON row");
-}
-
-fn append_multi_json(path: &str, batch: usize, label: &str, report: &NetRunReport) {
-    let clients = report.clients;
-    let key = format!("fig06/multi_batch{batch}_derived_ns_per_subop_{clients}clients/{label}");
-    append_derived_ns_row(path, &key, report);
-}
-
-fn run_multi_mode(batch: usize) {
-    bench::print_header(
-        "Figure 6 (multi) — measured throughput of atomic multi batches vs TCP connections",
-        "batched writes amortize one wire round-trip and one agreement round over N sub-ops",
-    );
-    let json_path = std::env::var("BENCH_JSON").ok();
-    let client_counts = [1usize, 2, 4, 8, 16];
-    let mut figure = Figure::new(
-        format!("Figure 6 (multi, batch={batch}) — sub-operations/s on loopback"),
-        "Client Connections",
-        "Sub-ops/s",
-    );
-
-    // Vanilla ZooKeeper: plain transport, passthrough interceptor.
-    let mut native = Series::new("zookeeper (measured)");
-    let mut native_last: Option<NetRunReport> = None;
-    {
-        let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-        for &clients in &client_counts {
-            let spec = MultiSpec::batched_writes(batch, PAYLOAD_BYTES, clients);
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(PlainCredentials);
-            let report =
-                run_multi_batches(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                    .expect("networked multi run");
-            native.push(clients as f64, report.throughput_rps);
-            native_last = Some(report);
-        }
-        server.shutdown();
-    }
-    figure.add(native);
-
-    // SecureKeeper: per-sub-op encryption in the entry enclave.
-    let mut secure = Series::new("securekeeper (measured)");
-    let mut secure_last: Option<NetRunReport> = None;
-    {
-        let config = SecureKeeperConfig::with_label("fig06-multi");
-        let (replica, _interceptor, _counter) = secure_standalone(&config);
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-        for &clients in &client_counts {
-            let spec = MultiSpec::batched_writes(batch, PAYLOAD_BYTES, clients);
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(SecureSessionCredentials);
-            let report =
-                run_multi_batches(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                    .expect("networked multi run");
-            secure.push(clients as f64, report.throughput_rps);
-            secure_last = Some(report);
-        }
-        server.shutdown();
-    }
-    figure.add(secure);
-
-    bench::print_figure(&figure);
-    if let (Some(path), Some(native), Some(secure)) = (&json_path, &native_last, &secure_last) {
-        append_multi_json(path, batch, "plain", native);
-        append_multi_json(path, batch, "secure", secure);
-        println!(
-            "BENCH_JSON: recorded batch={batch} plain {:.0} sub-ops/s vs secure {:.0} sub-ops/s",
-            native.throughput_rps, secure.throughput_rps
-        );
-    }
-}
-
-/// Appends one regression-guard row per (recipe, variant), keyed like the
-/// `--multi` rows (derived ns per sub-operation at the sweep's client count).
-fn append_recipe_json(path: &str, recipe: RecipeKind, label: &str, report: &NetRunReport) {
-    let clients = report.clients;
-    let key =
-        format!("fig06/recipe_{}_derived_ns_per_subop_{clients}clients/{label}", recipe.label());
-    append_derived_ns_row(path, &key, report);
-}
-
-fn run_recipes_mode() {
-    bench::print_header(
-        "Figure 6 (recipes) — atomic rename and CAS counters as multi transactions",
-        "coordination recipes ride multi's atomicity: 2 sub-ops, 1 round-trip, 1 agreement round",
-    );
-    let json_path = std::env::var("BENCH_JSON").ok();
-    let clients = 16usize;
-    let recipes =
-        [RecipeSpec::atomic_rename(PAYLOAD_BYTES, clients), RecipeSpec::cas_counter(clients)];
-
-    for spec in recipes {
-        let mut figure = Figure::new(
-            format!("Figure 6 (recipe: {}) — sub-operations/s on loopback", spec.kind.label()),
-            "Variant",
-            "Sub-ops/s",
-        );
-
-        let mut native = Series::new("zookeeper (measured)");
-        let native_report = {
-            let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
-            let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(PlainCredentials);
-            let report = run_recipes(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                .expect("networked recipe run");
-            server.shutdown();
-            report
-        };
-        native.push(clients as f64, native_report.throughput_rps);
-        figure.add(native);
-
-        let mut secure = Series::new("securekeeper (measured)");
-        let secure_report = {
-            let config = SecureKeeperConfig::with_label("fig06-recipes");
-            let (replica, _interceptor, _counter) = secure_standalone(&config);
-            let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
-            let credentials: Arc<dyn SessionCredentials> = Arc::new(SecureSessionCredentials);
-            let report = run_recipes(server.local_addr(), credentials, TXNS_PER_CLIENT, &spec)
-                .expect("networked recipe run");
-            server.shutdown();
-            report
-        };
-        secure.push(clients as f64, secure_report.throughput_rps);
-        figure.add(secure);
-
-        bench::print_figure(&figure);
-        println!(
-            "recipe {}: plain {:.0} sub-ops/s vs secure {:.0} sub-ops/s ({clients} clients)",
-            spec.kind.label(),
-            native_report.throughput_rps,
-            secure_report.throughput_rps
-        );
-        if let Some(path) = &json_path {
-            append_recipe_json(path, spec.kind, "plain", &native_report);
-            append_recipe_json(path, spec.kind, "secure", &secure_report);
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|arg| arg == "--recipes") {
-        run_recipes_mode();
-        return;
-    }
-    if let Some(position) = args.iter().position(|arg| arg == "--multi") {
-        let batch = args
-            .get(position + 1)
-            .and_then(|value| value.parse::<usize>().ok())
-            .unwrap_or(8)
-            .max(1);
-        run_multi_mode(batch);
-        return;
-    }
     if std::env::args().any(|arg| arg == "--net") {
         run_networked_mode();
         return;

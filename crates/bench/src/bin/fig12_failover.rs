@@ -1,25 +1,19 @@
-//! Figure 12 (networked): measured throughput over time while the *leader*
-//! of a live 3-replica TCP ensemble crashes — the real-socket counterpart of
-//! the analytic `fig12_fault_tolerance` timeline.
+//! Figure 12: measured throughput over time while the *leader* of a live
+//! 3-replica TCP ensemble crashes.
 //!
 //! Both variants run on loopback: a vanilla ensemble (plain wire, local
 //! reads, forwarded writes) and a SecureKeeper ensemble (entry-enclave
 //! interceptor on every replica, clients with replayable session keys that
 //! survive the failover). The harness reports the pre-crash steady state,
 //! the depth of the outage, and the time until throughput recovers.
-//!
-//! When `BENCH_JSON` is set, the key metrics are appended to that file as
-//! JSON lines compatible with `scripts/check_bench_regression.py` (the
-//! `ensemble-e2e` CI job archives them as `BENCH_ensemble.json`).
 
-use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
 use securekeeper::ReplayableSessionCredentials;
-use workload::failover::{run_failover, FailoverReport, FailoverSpec};
+use workload::failover::{run_failover, FailoverSpec};
 use zkserver::ensemble::{EnsembleConfig, ZkEnsembleServer};
 use zkserver::net::{PlainCredentials, SessionCredentials};
 use zkserver::session::MonotonicClock;
@@ -36,13 +30,13 @@ fn ensemble_config() -> EnsembleConfig {
     }
 }
 
-/// Runs one leader-crash experiment and returns the report plus the spec it
-/// ran under.
+/// Runs one leader-crash experiment, prints its timeline and asserts that the
+/// ensemble recovered.
 fn run_variant(
     label: &str,
     servers: Vec<ZkEnsembleServer>,
     credentials: &dyn Fn() -> Arc<dyn SessionCredentials>,
-) -> (FailoverReport, FailoverSpec) {
+) {
     let mut servers = servers;
     assert!(servers[0].is_leader(), "member 1 leads the first epoch");
     // Clients only dial the two survivors so every reconnect lands.
@@ -75,44 +69,21 @@ fn run_variant(
         print!(" {rps:.0}");
     }
     println!("\n");
-    (report, spec)
-}
-
-/// Appends regression-guard rows in the vendored-criterion JSON-lines format.
-fn append_json(path: &str, label: &str, report: &FailoverReport, spec: &FailoverSpec) {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_JSON output");
-    let rows = [
-        (format!("ensemble/failover_recovery_ms/{label}"), report.recovery_ms(spec) * 1e6),
-        (format!("ensemble/steady_op_latency/{label}"), report.steady_op_latency.as_nanos() as f64),
-    ];
-    for (benchmark, median_ns) in rows {
-        writeln!(file, "{{\"benchmark\":\"{benchmark}\",\"median_ns\":{median_ns:.1}}}")
-            .expect("write BENCH_JSON row");
-    }
+    assert!(report.recovery.is_some(), "{label} failed to recover from the leader crash");
 }
 
 fn main() {
     bench::print_header(
-        "Figure 12 (networked) — measured fault tolerance of the live TCP ensemble",
+        "Figure 12 — measured fault tolerance of the live TCP ensemble",
         "paper §6.3, Figure 12a: leader failure causes a short outage until a new leader serves",
     );
-    let json_path = std::env::var("BENCH_JSON").ok();
 
     // Vanilla ensemble.
     let servers = ZkEnsembleServer::start_local_ensemble(3, &ensemble_config(), |id| {
         Arc::new(ZkReplica::new(id).with_clock(Arc::new(MonotonicClock::new())))
     })
     .expect("bind vanilla ensemble");
-    let (report, spec) =
-        run_variant("zookeeper (plain wire)", servers, &|| Arc::new(PlainCredentials));
-    assert!(report.recovery.is_some(), "plain ensemble failed to recover from the leader crash");
-    if let Some(path) = &json_path {
-        append_json(path, "plain", &report, &spec);
-    }
+    run_variant("zookeeper (plain wire)", servers, &|| Arc::new(PlainCredentials));
 
     // SecureKeeper ensemble: every replica runs the entry-enclave
     // interceptor; clients replay their session key across the failover.
@@ -122,11 +93,7 @@ fn main() {
         replica
     })
     .expect("bind secure ensemble");
-    let (report, spec) = run_variant("securekeeper (encrypted wire)", servers, &|| {
+    run_variant("securekeeper (encrypted wire)", servers, &|| {
         Arc::new(ReplayableSessionCredentials::generate())
     });
-    assert!(report.recovery.is_some(), "secure ensemble failed to recover from the leader crash");
-    if let Some(path) = &json_path {
-        append_json(path, "secure", &report, &spec);
-    }
 }

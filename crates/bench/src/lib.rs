@@ -1,8 +1,9 @@
 //! Shared helpers for the figure/table reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one figure or table of the paper's
-//! evaluation (see `DESIGN.md` for the index) and prints it as an aligned text
-//! table: one row per x value, one column per series. Run them with, e.g.,
+//! evaluation and prints it as an aligned text table: one row per x value, one
+//! column per series. Nothing here is a performance guard — timing the system
+//! is `perf/`'s job (see `perf/README.md`). Run them with, e.g.,
 //!
 //! ```text
 //! cargo run -p bench --bin fig07_get_throughput

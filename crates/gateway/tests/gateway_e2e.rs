@@ -142,6 +142,16 @@ impl ShardedFixture {
 
 const RULES: &[(&str, usize)] = &[("/", 0), ("/app", 1)];
 
+/// Polls `condition` to a 5 s deadline: gateway gauges and counters settle
+/// on its own threads, shortly after the client call that moves them returns.
+fn wait_until(what: &str, mut condition: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !condition() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn single_path_ops_route_to_their_shards() {
     let fixture = ShardedFixture::start(RULES, 1);
@@ -287,7 +297,9 @@ fn watches_fire_through_the_gateway_with_merged_zxids() {
         "the event zxid ({}) must be rebased above the watcher's floor ({zxid_floor})",
         events[0].zxid
     );
-    assert!(fixture.gateway().metrics().watch_events[1].get() >= 1);
+    wait_until("the shard-1 watch event was never counted", || {
+        fixture.gateway().metrics().watch_events[1].get() >= 1
+    });
 
     watcher.close();
     writer.close();
@@ -422,15 +434,11 @@ fn gateway_metrics_scrape_with_gw_prefix() {
     let metrics = fixture.gateway().metrics();
     assert!(metrics.requests[0].get() >= 1);
     assert!(metrics.requests[1].get() >= 1);
-    assert_eq!(metrics.front_sessions.get(), 0, "closed sessions leave the gauge at zero");
+    wait_until("closed sessions leave the gauge at zero", || metrics.front_sessions.get() == 0);
 
     // Session close reached every touched backend: ephemera aside, the
     // backend sessions wind down rather than lingering until timeout.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while fixture.gateway().metrics().backend_links.get() > 0 {
-        assert!(Instant::now() < deadline, "backend links never wound down");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until("backend links never wound down", || metrics.backend_links.get() == 0);
 }
 
 #[test]

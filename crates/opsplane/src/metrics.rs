@@ -88,8 +88,8 @@ pub const DEFAULT_LATENCY_BUCKETS: [f64; 12] =
     [0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 0.5, 2.5];
 
 /// Read-request latency buckets (seconds), log-scaled at half-decade
-/// steps across the distribution the fig06/fig14 harnesses actually
-/// measure: in-memory tree reads land in the tens of microseconds, the
+/// steps across the distribution the `read_hot` workload of
+/// `BENCHMARK.json` actually measures: in-memory tree reads land in the tens of microseconds, the
 /// secure (enclave) pipeline in the hundreds, and a read parked behind
 /// an election can reach seconds.
 pub const READ_LATENCY_BUCKETS: [f64; 12] =
@@ -97,7 +97,7 @@ pub const READ_LATENCY_BUCKETS: [f64; 12] =
 
 /// Write-request latency buckets (seconds), log-scaled at half-decade
 /// steps from 100µs: replicated writes are quorum- and fsync-bound
-/// (fig15 measures single-digit-ms medians on durable members), with a
+/// (`write_quorum` measures ~1 ms medians on durable members), with a
 /// long tail under group-commit stalls and leader failover.
 pub const WRITE_LATENCY_BUCKETS: [f64; 12] =
     [0.0001, 0.000316, 0.001, 0.00316, 0.01, 0.0316, 0.1, 0.316, 1.0, 3.16, 10.0, 31.6];

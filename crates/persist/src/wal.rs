@@ -143,6 +143,9 @@ pub struct Wal {
     dirty: bool,
     fsyncs: u64,
     appended: u64,
+    /// Record bytes written since open; unlike the per-segment sizes this
+    /// never drops when a purge deletes segments.
+    appended_bytes: u64,
     /// Injected disk faults (chaos testing); `None` in production.
     faults: Option<Box<dyn FaultInjector>>,
 }
@@ -348,6 +351,7 @@ impl Wal {
             dirty: false,
             fsyncs: 0,
             appended: 0,
+            appended_bytes: 0,
             faults,
         };
         wal.reopen_active()?;
@@ -394,6 +398,7 @@ impl Wal {
         let segment = self.segments.last_mut().expect("active segment meta");
         segment.bytes += frame.len() as u64;
         segment.last = segment.last.max(zxid);
+        self.appended_bytes += frame.len() as u64;
         self.dirty = true;
         self.pending += 1;
         if self.config.fsync_every > 0 && self.pending >= self.config.fsync_every {
@@ -593,6 +598,12 @@ impl Wal {
     /// Number of transactions appended since open.
     pub fn appended_txns(&self) -> u64 {
         self.appended
+    }
+
+    /// Bytes appended since open (transactions and commit watermarks) —
+    /// monotone across rollovers and purges.
+    pub fn appended_bytes(&self) -> u64 {
+        self.appended_bytes
     }
 
     /// Total bytes across live segments.

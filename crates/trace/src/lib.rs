@@ -7,8 +7,8 @@
 //! — the flight recorder. Recording a span is a handful of relaxed
 //! atomic stores into a pre-allocated slot: no locks, no allocation, no
 //! syscalls on the hot path, which is what lets the recorder stay
-//! enabled in production (`fig16_trace_overhead` pins the cost below 2%
-//! of write throughput).
+//! enabled in production (the `perf` harness reports the cost as
+//! `perf.tracing_overhead_pct`; it stays below 2% of throughput).
 //!
 //! # Span taxonomy
 //!
@@ -196,8 +196,8 @@ const DEFAULT_SLOW_THRESHOLD_NS: u64 = 50_000_000;
 static SLOW_THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_THRESHOLD_NS);
 
 /// Turns the recorder on or off process-wide. Off, [`record`] is a
-/// single relaxed load — the knob `fig16_trace_overhead` flips to
-/// measure the recorder's own cost.
+/// single relaxed load — the knob the `perf` harness flips per slice to
+/// measure the recorder's own cost (`perf.tracing_overhead_pct`).
 pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }

@@ -1,14 +1,12 @@
 //! Throughput-over-time measurement across an injected replica crash — the
-//! *live* variant of the Figure 12 fault-tolerance experiment.
+//! Figure 12 fault-tolerance experiment, run against a real networked
+//! ensemble ([`zkserver::ensemble::ZkEnsembleServer`]).
 //!
-//! [`crate::faults`] models the failover timeline analytically; this module
-//! measures it against a real networked ensemble
-//! ([`zkserver::ensemble::ZkEnsembleServer`]): N client threads push a 70:30
-//! GET/SET mix over real sockets, reconnecting to surviving members whenever
-//! their connection dies, while the harness samples completed operations in
-//! fixed time buckets and injects a crash at a configured instant. The
-//! resulting timeline shows the throughput dip during leader election and
-//! the recovery once a new leader serves writes.
+//! N client threads push a 70:30 GET/SET mix over real sockets, reconnecting
+//! to surviving members whenever their connection dies, while the harness
+//! samples completed operations in fixed time buckets and injects a crash at
+//! a configured instant. The resulting timeline shows the throughput dip
+//! during leader election and the recovery once a new leader serves writes.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -69,15 +67,6 @@ pub struct FailoverReport {
     pub steady_op_latency: Duration,
     /// Total operations completed across the whole run.
     pub total_ops: u64,
-}
-
-impl FailoverReport {
-    /// Recovery time in milliseconds; the full post-crash window when the
-    /// ensemble never recovered (a pessimistic bound, so regression guards
-    /// still bite).
-    pub fn recovery_ms(&self, spec: &FailoverSpec) -> f64 {
-        self.recovery.unwrap_or(spec.post_crash).as_secs_f64() * 1e3
-    }
 }
 
 /// Runs the failover experiment: client threads hammer the ensemble at

@@ -5,10 +5,8 @@
 //! issues a 70:30 mix of GET and SET requests against it as fast as possible;
 //! the per-operation experiments issue a single operation type instead.
 
-use jute::multi::Op;
 use jute::records::{
-    CheckVersionRequest, CreateMode, CreateRequest, DeleteRequest, GetChildrenRequest,
-    GetDataRequest, SetDataRequest,
+    CreateMode, CreateRequest, DeleteRequest, GetChildrenRequest, GetDataRequest, SetDataRequest,
 };
 use jute::Request;
 use rand::rngs::StdRng;
@@ -142,230 +140,6 @@ pub struct GeneratedOp {
     pub request: Request,
 }
 
-/// Specification of the `multi` transaction workload: every client thread
-/// owns one znode and issues atomic batches against it, each batch mixing
-/// version-guard `check` sub-operations with `set_data` writes — the
-/// read-modify-write recipe `multi` exists for, with the wire/agreement cost
-/// of the whole batch amortized into one request and one ZAB proposal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiSpec {
-    /// Number of sub-operations per transaction.
-    pub batch_size: usize,
-    /// How many of those sub-operations are `check` guards on the client's
-    /// znode (the rest are `set_data` writes) — the check:write mix.
-    pub checks_per_batch: usize,
-    /// Payload size in bytes of each `set_data` sub-operation.
-    pub payload: usize,
-    /// Number of client threads (each owns one znode).
-    pub clients: usize,
-    /// RNG seed so traces are reproducible.
-    pub seed: u64,
-}
-
-impl MultiSpec {
-    /// A batch of `batch_size` sub-operations, one existence check plus
-    /// writes — the default scenario of the `--multi` bench mode.
-    pub fn batched_writes(batch_size: usize, payload: usize, clients: usize) -> Self {
-        MultiSpec { batch_size: batch_size.max(1), checks_per_batch: 1, payload, clients, seed: 42 }
-    }
-
-    /// Requests that set up the tree (same layout as [`WorkloadSpec`]): the
-    /// `/bench` parent plus one znode per client.
-    pub fn setup_requests(&self) -> Vec<Request> {
-        WorkloadSpec {
-            mix: vec![(OpKind::Set, 1.0)],
-            payload: self.payload,
-            clients: self.clients,
-            seed: self.seed,
-        }
-        .setup_requests()
-    }
-
-    /// Generates `count` transactions, attributed round-robin to the client
-    /// threads; each targets the issuing client's znode.
-    pub fn generate(&self, count: usize) -> Vec<GeneratedMulti> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..count).map(|i| self.batch(i % self.clients.max(1), &mut rng)).collect()
-    }
-
-    /// Generates `count` transactions for one client thread only, without
-    /// materializing the other clients' batches — the networked driver runs
-    /// one of these per worker, so trace generation stays O(count) per
-    /// thread instead of O(count × clients). Deterministic per
-    /// (seed, client).
-    pub fn generate_for(&self, client: usize, count: usize) -> Vec<GeneratedMulti> {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed.wrapping_add((client as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        (0..count).map(|_| self.batch(client, &mut rng)).collect()
-    }
-
-    /// Builds one atomic batch for `client`: the check guards first, then
-    /// the writes.
-    fn batch(&self, client: usize, rng: &mut StdRng) -> GeneratedMulti {
-        let checks = self.checks_per_batch.min(self.batch_size);
-        let path = WorkloadSpec::client_path(client);
-        let mut ops = Vec::with_capacity(self.batch_size);
-        for slot in 0..self.batch_size {
-            if slot < checks {
-                // -1 guards existence without pinning a version, so every
-                // generated batch commits (abort rates are a correctness
-                // concern, not a throughput scenario).
-                ops.push(Op::Check(CheckVersionRequest { path: path.clone(), version: -1 }));
-            } else {
-                ops.push(Op::SetData(SetDataRequest {
-                    path: path.clone(),
-                    data: vec![rng.gen::<u8>(); self.payload],
-                    version: -1,
-                }));
-            }
-        }
-        GeneratedMulti { client, ops }
-    }
-}
-
-/// One generated transaction, attributed to a client thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GeneratedMulti {
-    /// Index of the issuing client thread.
-    pub client: usize,
-    /// The sub-operations of the atomic batch.
-    pub ops: Vec<Op>,
-}
-
-/// The transactional *recipe* a [`RecipeSpec`] generates — real coordination
-/// patterns built from `multi`'s atomicity, beyond [`MultiSpec`]'s
-/// check:write mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecipeKind {
-    /// Atomic rename: each transaction creates the node under its next name
-    /// and deletes the previous one — the two-op batch either moves the
-    /// node or leaves it where it was, never duplicates or loses it.
-    AtomicRename,
-    /// Compare-and-swap counter: each transaction guards on the counter
-    /// node's exact version (`check`) and writes the incremented value
-    /// (`set_data` pinned to the same version) — optimistic concurrency
-    /// control, the recipe `check` exists for.
-    CasCounter,
-}
-
-impl RecipeKind {
-    /// Short label used in reports and BENCH_JSON keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecipeKind::AtomicRename => "rename",
-            RecipeKind::CasCounter => "cas",
-        }
-    }
-}
-
-/// Specification of a transactional-recipe workload: every client thread
-/// owns a private slot under `/bench` and drives one [`RecipeKind`] against
-/// it. Generation is deterministic per `(seed, client)` and each client's
-/// transactions are designed to commit when executed in order against a
-/// healthy server (versions and slot names advance exactly with the
-/// transactions that bump them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecipeSpec {
-    /// Which transactional recipe to generate.
-    pub kind: RecipeKind,
-    /// Payload size in bytes carried by the recipe's writes.
-    pub payload: usize,
-    /// Number of client threads.
-    pub clients: usize,
-    /// RNG seed so payload streams are reproducible.
-    pub seed: u64,
-}
-
-impl RecipeSpec {
-    /// An atomic-rename workload.
-    pub fn atomic_rename(payload: usize, clients: usize) -> Self {
-        RecipeSpec { kind: RecipeKind::AtomicRename, payload, clients, seed: 42 }
-    }
-
-    /// A CAS-counter workload (the counter value is the payload).
-    pub fn cas_counter(clients: usize) -> Self {
-        RecipeSpec { kind: RecipeKind::CasCounter, payload: 8, clients, seed: 42 }
-    }
-
-    /// The name a client's node carries after `step` committed renames
-    /// (also its initial name at step 0).
-    pub fn slot_path(client: usize, step: usize) -> String {
-        format!("/bench/client-{client:04}-slot-{step:06}")
-    }
-
-    /// The CAS counter node owned by `client`.
-    pub fn counter_path(client: usize) -> String {
-        WorkloadSpec::client_path(client)
-    }
-
-    /// Requests that set up one client's state: the shared `/bench` parent
-    /// (idempotent across clients) plus the client's initial node.
-    pub fn setup_requests_for(&self, client: usize) -> Vec<Request> {
-        let initial = match self.kind {
-            RecipeKind::AtomicRename => CreateRequest {
-                path: Self::slot_path(client, 0),
-                data: vec![0u8; self.payload],
-                mode: CreateMode::Persistent,
-            },
-            RecipeKind::CasCounter => CreateRequest {
-                path: Self::counter_path(client),
-                data: 0u64.to_be_bytes().to_vec(),
-                mode: CreateMode::Persistent,
-            },
-        };
-        vec![
-            Request::Create(CreateRequest {
-                path: WorkloadSpec::root_path().to_string(),
-                data: Vec::new(),
-                mode: CreateMode::Persistent,
-            }),
-            Request::Create(initial),
-        ]
-    }
-
-    /// Generates `count` transactions for one client thread. Transaction
-    /// `i` assumes transactions `0..i` committed (the rename chain and the
-    /// counter version both advance exactly once per commit).
-    pub fn generate_for(&self, client: usize, count: usize) -> Vec<GeneratedMulti> {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed.wrapping_add((client as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        (0..count)
-            .map(|step| {
-                let ops = match self.kind {
-                    RecipeKind::AtomicRename => vec![
-                        Op::Create(CreateRequest {
-                            path: Self::slot_path(client, step + 1),
-                            data: vec![rng.gen::<u8>(); self.payload],
-                            mode: CreateMode::Persistent,
-                        }),
-                        Op::Delete(DeleteRequest {
-                            path: Self::slot_path(client, step),
-                            version: -1,
-                        }),
-                    ],
-                    RecipeKind::CasCounter => {
-                        let version = step as i32;
-                        vec![
-                            Op::Check(CheckVersionRequest {
-                                path: Self::counter_path(client),
-                                version,
-                            }),
-                            Op::SetData(SetDataRequest {
-                                path: Self::counter_path(client),
-                                data: (step as u64 + 1).to_be_bytes().to_vec(),
-                                version,
-                            }),
-                        ]
-                    }
-                };
-                GeneratedMulti { client, ops }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,94 +188,6 @@ mod tests {
             match op.request {
                 Request::SetData(set) => assert_eq!(set.data.len(), 777),
                 other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn multi_spec_mixes_checks_and_writes_per_batch() {
-        let spec =
-            MultiSpec { batch_size: 8, checks_per_batch: 3, payload: 64, clients: 4, seed: 7 };
-        let txns = spec.generate(8);
-        assert_eq!(txns.len(), 8);
-        for (i, txn) in txns.iter().enumerate() {
-            assert_eq!(txn.client, i % 4);
-            assert_eq!(txn.ops.len(), 8);
-            let checks = txn.ops.iter().filter(|op| matches!(op, Op::Check(_))).count();
-            assert_eq!(checks, 3);
-            for op in &txn.ops {
-                assert_eq!(op.path(), WorkloadSpec::client_path(txn.client));
-                if let Op::SetData(set) = op {
-                    assert_eq!(set.data.len(), 64);
-                }
-            }
-        }
-        // Deterministic for a seed, like the single-op generator.
-        assert_eq!(spec.generate(8), txns);
-    }
-
-    #[test]
-    fn multi_generate_for_is_per_client_and_deterministic() {
-        let spec = MultiSpec::batched_writes(4, 32, 8);
-        let mine = spec.generate_for(3, 5);
-        assert_eq!(mine.len(), 5);
-        assert!(mine.iter().all(|txn| txn.client == 3));
-        assert!(mine
-            .iter()
-            .flat_map(|txn| &txn.ops)
-            .all(|op| op.path() == WorkloadSpec::client_path(3)));
-        assert_eq!(spec.generate_for(3, 5), mine, "deterministic per (seed, client)");
-        assert_ne!(spec.generate_for(4, 5), mine, "distinct payload streams per client");
-    }
-
-    #[test]
-    fn multi_spec_setup_matches_the_single_op_layout() {
-        let spec = MultiSpec::batched_writes(4, 128, 3);
-        assert_eq!(spec.checks_per_batch, 1);
-        let setup = spec.setup_requests();
-        assert_eq!(setup.len(), 4);
-        assert_eq!(setup[0].path(), Some("/bench"));
-        // checks_per_batch is clamped to the batch size.
-        let tiny =
-            MultiSpec { batch_size: 2, checks_per_batch: 9, payload: 0, clients: 1, seed: 1 };
-        let txns = tiny.generate(1);
-        assert!(txns[0].ops.iter().all(|op| matches!(op, Op::Check(_))));
-    }
-
-    #[test]
-    fn atomic_rename_recipe_chains_create_then_delete() {
-        let spec = RecipeSpec::atomic_rename(32, 2);
-        let txns = spec.generate_for(1, 3);
-        assert_eq!(txns.len(), 3);
-        for (step, txn) in txns.iter().enumerate() {
-            assert_eq!(txn.ops.len(), 2);
-            match (&txn.ops[0], &txn.ops[1]) {
-                (Op::Create(create), Op::Delete(delete)) => {
-                    assert_eq!(create.path, RecipeSpec::slot_path(1, step + 1));
-                    assert_eq!(create.data.len(), 32);
-                    assert_eq!(delete.path, RecipeSpec::slot_path(1, step));
-                }
-                other => panic!("unexpected recipe shape {other:?}"),
-            }
-        }
-        assert_eq!(spec.generate_for(1, 3), txns, "deterministic per (seed, client)");
-        let setup = spec.setup_requests_for(1);
-        assert_eq!(setup[1].path(), Some(RecipeSpec::slot_path(1, 0)).as_deref());
-    }
-
-    #[test]
-    fn cas_counter_recipe_pins_the_exact_version() {
-        let spec = RecipeSpec::cas_counter(4);
-        let txns = spec.generate_for(0, 4);
-        for (step, txn) in txns.iter().enumerate() {
-            match (&txn.ops[0], &txn.ops[1]) {
-                (Op::Check(check), Op::SetData(set)) => {
-                    assert_eq!(check.version, step as i32);
-                    assert_eq!(set.version, step as i32);
-                    assert_eq!(set.data, (step as u64 + 1).to_be_bytes().to_vec());
-                    assert_eq!(check.path, set.path);
-                }
-                other => panic!("unexpected recipe shape {other:?}"),
             }
         }
     }

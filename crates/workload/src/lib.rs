@@ -19,9 +19,8 @@
 //! * [`netdriver`] — drives N *real TCP connections* against a live
 //!   [`zkserver::net::ZkTcpServer`], measuring actual connection concurrency
 //!   (the networked variant of the Figure 6 client-scaling experiment);
-//! * [`faults`] — the fault-tolerance timeline of Figure 12 (analytic);
-//! * [`failover`] — the *measured* Figure 12: throughput over time against a
-//!   live networked ensemble with an injected leader crash;
+//! * [`failover`] — Figure 12: throughput over time against a live networked
+//!   ensemble with an injected leader crash;
 //! * [`memtrace`] — the memory-usage-over-time trace of Figure 2;
 //! * [`report`] — the overhead table (Table 1), the message-size analysis
 //!   (Table 2) and the code-base size census (Table 3);
@@ -32,7 +31,6 @@
 
 pub mod costmodel;
 pub mod failover;
-pub mod faults;
 pub mod generator;
 pub mod measured;
 pub mod memtrace;

@@ -7,11 +7,11 @@
 //! concurrency — socket framing, the per-connection interceptor path, the
 //! event-loop transport inside the replica — instead of a loop.
 //!
-//! The measured per-client loops ([`drive_mixed_get_set`],
-//! [`drive_batches`]) are generic over the [`ZooKeeper`] trait, so the same
-//! workload runs against the socket client, the in-process cluster client,
-//! or SecureKeeper's encrypted client; the `run_*` entry points here merely
-//! add the TCP connection setup and thread fan-out around them.
+//! The measured per-client loop ([`drive_mixed_get_set`]) is generic over the
+//! [`ZooKeeper`] trait, so the same workload runs against the socket client,
+//! the in-process cluster client, or SecureKeeper's encrypted client;
+//! [`run_mixed_get_set`] merely adds the TCP connection setup and thread
+//! fan-out around it.
 //!
 //! [`ZkTcpServer`]: zkserver::net::ZkTcpServer
 
@@ -22,8 +22,6 @@ use std::time::Instant;
 use jute::records::CreateMode;
 use zkserver::net::SessionCredentials;
 use zkserver::{ZkError, ZkTcpClient, ZooKeeper};
-
-use crate::generator::{MultiSpec, RecipeSpec};
 
 /// Drives `ops` operations of the deterministic 70:30 GET/SET mix against
 /// `path` on any [`ZooKeeper`] client — the same measured loop runs over the
@@ -46,29 +44,6 @@ pub fn drive_mixed_get_set<C: ZooKeeper>(
             debug_assert_eq!(data.len(), payload.len());
         } else {
             client.set_data(path, payload.to_vec(), -1)?;
-        }
-    }
-    Ok(())
-}
-
-/// Commits every generated batch on any [`ZooKeeper`] client, reporting an
-/// aborted batch (which the generated workloads never legitimately produce)
-/// as a marshalling error labelled with `what`.
-///
-/// # Errors
-///
-/// Propagates the client's operation failures and reports aborts.
-pub fn drive_batches<C: ZooKeeper>(
-    client: &mut C,
-    batches: Vec<crate::generator::GeneratedMulti>,
-    what: &str,
-) -> Result<(), C::Error> {
-    for batch in batches {
-        let results = client.multi(batch.ops)?;
-        if let Some((index, code)) = jute::multi::first_error_of(&results) {
-            return Err(C::Error::from(ZkError::Marshalling {
-                reason: format!("{what} aborted at op {index}: {code:?}"),
-            }));
         }
     }
     Ok(())
@@ -155,149 +130,6 @@ pub fn run_mixed_get_set(
     })
 }
 
-/// Runs `clients` concurrent connections, each committing
-/// `txns_per_client` atomic `multi` transactions generated from `spec`
-/// (check:write mix, batch size, payload). The report counts *sub-operations*
-/// so throughput is comparable with [`run_mixed_get_set`]: batching amortizes
-/// one wire round-trip (and, in ensemble mode, one ZAB proposal) over
-/// `spec.batch_size` operations.
-///
-/// # Errors
-///
-/// Propagates connection and operation failures from any client thread, and
-/// reports an aborted batch as a marshalling error (the generated batches
-/// always commit against a healthy server).
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn run_multi_batches(
-    addr: SocketAddr,
-    credentials: Arc<dyn SessionCredentials>,
-    txns_per_client: usize,
-    spec: &MultiSpec,
-) -> Result<NetRunReport, ZkError> {
-    let clients = spec.clients.max(1);
-    let start_line = Arc::new(Barrier::new(clients));
-    let mut handles = Vec::with_capacity(clients);
-    for t in 0..clients {
-        let credentials = Arc::clone(&credentials);
-        let start_line = Arc::clone(&start_line);
-        let spec = spec.clone();
-        handles.push(std::thread::spawn(move || -> Result<f64, ZkError> {
-            let batches = spec.generate_for(t, txns_per_client);
-            let path = crate::generator::WorkloadSpec::client_path(t);
-            let setup = (|| {
-                let mut client = ZkTcpClient::connect_with(addr, credentials, 30_000)?;
-                for (node, payload) in [
-                    (crate::generator::WorkloadSpec::root_path().to_string(), Vec::new()),
-                    (path.clone(), vec![0x5a; spec.payload]),
-                ] {
-                    match client.create(&node, payload, CreateMode::Persistent) {
-                        Ok(_) | Err(ZkError::NodeExists { .. }) => {}
-                        Err(err) => return Err(err),
-                    }
-                }
-                Ok(client)
-            })();
-
-            start_line.wait();
-            let mut client = setup?;
-            let started = Instant::now();
-            drive_batches(&mut client, batches, "generated batch")?;
-            let elapsed = started.elapsed().as_secs_f64();
-            client.close();
-            Ok(elapsed)
-        }));
-    }
-
-    let mut slowest = 0f64;
-    for handle in handles {
-        let elapsed = handle.join().expect("worker thread panicked")?;
-        slowest = slowest.max(elapsed);
-    }
-    let total_ops = clients * txns_per_client * spec.batch_size;
-    let wall_seconds = slowest.max(f64::EPSILON);
-    Ok(NetRunReport {
-        clients,
-        total_ops,
-        wall_seconds,
-        throughput_rps: total_ops as f64 / wall_seconds,
-    })
-}
-
-/// Runs `clients` concurrent connections, each committing
-/// `txns_per_client` transactions of `spec`'s recipe (atomic rename or CAS
-/// counter). Every transaction is a 2-op atomic batch, so the report counts
-/// sub-operations like [`run_multi_batches`]. The generated chains assume
-/// in-order commits, so an aborted batch (a lost rename slot, a CAS version
-/// mismatch) is a correctness failure and reported as an error.
-///
-/// # Errors
-///
-/// Propagates connection and operation failures from any client thread, and
-/// reports an aborted recipe transaction as a marshalling error.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn run_recipes(
-    addr: SocketAddr,
-    credentials: Arc<dyn SessionCredentials>,
-    txns_per_client: usize,
-    spec: &RecipeSpec,
-) -> Result<NetRunReport, ZkError> {
-    let clients = spec.clients.max(1);
-    let start_line = Arc::new(Barrier::new(clients));
-    let mut handles = Vec::with_capacity(clients);
-    for t in 0..clients {
-        let credentials = Arc::clone(&credentials);
-        let start_line = Arc::clone(&start_line);
-        let spec = *spec;
-        handles.push(std::thread::spawn(move || -> Result<f64, ZkError> {
-            let batches = spec.generate_for(t, txns_per_client);
-            let setup = (|| {
-                let mut client = ZkTcpClient::connect_with(addr, credentials, 30_000)?;
-                for request in spec.setup_requests_for(t) {
-                    match request {
-                        jute::Request::Create(create) => {
-                            match client.create(&create.path, create.data, create.mode) {
-                                Ok(_) | Err(ZkError::NodeExists { .. }) => {}
-                                Err(err) => return Err(err),
-                            }
-                        }
-                        other => unreachable!("recipe setup is creates only: {other:?}"),
-                    }
-                }
-                Ok(client)
-            })();
-
-            start_line.wait();
-            let mut client = setup?;
-            let started = Instant::now();
-            drive_batches(&mut client, batches, &format!("{} recipe", spec.kind.label()))?;
-            let elapsed = started.elapsed().as_secs_f64();
-            client.close();
-            Ok(elapsed)
-        }));
-    }
-
-    let mut slowest = 0f64;
-    for handle in handles {
-        let elapsed = handle.join().expect("worker thread panicked")?;
-        slowest = slowest.max(elapsed);
-    }
-    // Two sub-operations per recipe transaction.
-    let total_ops = clients * txns_per_client * 2;
-    let wall_seconds = slowest.max(f64::EPSILON);
-    Ok(NetRunReport {
-        clients,
-        total_ops,
-        wall_seconds,
-        throughput_rps: total_ops as f64 / wall_seconds,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,14 +151,6 @@ mod tests {
         // The same measured loop that drives TCP sockets runs against the
         // in-process transport — the point of the unified trait.
         drive_mixed_get_set(&mut client, "/generic", &[0x5a; 16], 20).unwrap();
-        let spec = MultiSpec::batched_writes(4, 32, 1);
-        client
-            .create(crate::generator::WorkloadSpec::root_path(), vec![], CreateMode::Persistent)
-            .unwrap();
-        client
-            .create(&crate::generator::WorkloadSpec::client_path(0), vec![], CreateMode::Persistent)
-            .unwrap();
-        drive_batches(&mut client, spec.generate_for(0, 3), "generic batch").unwrap();
     }
 
     #[test]
@@ -340,65 +164,6 @@ mod tests {
         assert!(report.throughput_rps > 0.0);
         // 30% of 50 ops per client are SETs, plus the 4 setup creates.
         assert_eq!(server.replica().last_zxid(), 4 + 4 * 15);
-        server.shutdown();
-    }
-
-    #[test]
-    fn recipe_runs_commit_their_chains_end_to_end() {
-        use crate::generator::RecipeSpec;
-
-        let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).unwrap();
-
-        // Atomic rename: after N committed renames each client's node sits
-        // at slot N and no intermediate slot survives.
-        let spec = RecipeSpec::atomic_rename(16, 2);
-        let report =
-            run_recipes(server.local_addr(), Arc::new(PlainCredentials), 5, &spec).unwrap();
-        assert_eq!(report.total_ops, 2 * 5 * 2);
-        {
-            let replica = server.replica();
-            let tree = replica.tree();
-            for client in 0..2 {
-                assert!(tree.contains(&RecipeSpec::slot_path(client, 5)));
-                for step in 0..5 {
-                    assert!(!tree.contains(&RecipeSpec::slot_path(client, step)));
-                }
-            }
-        }
-
-        // CAS counter: the committed value equals the number of increments
-        // and the version advanced once per transaction.
-        let spec = RecipeSpec::cas_counter(3);
-        let report =
-            run_recipes(server.local_addr(), Arc::new(PlainCredentials), 7, &spec).unwrap();
-        assert_eq!(report.total_ops, 3 * 7 * 2);
-        {
-            let replica = server.replica();
-            let tree = replica.tree();
-            for client in 0..3 {
-                let node = tree.get(&RecipeSpec::counter_path(client)).unwrap();
-                assert_eq!(node.data(), 7u64.to_be_bytes());
-                assert_eq!(node.stat().version, 7);
-            }
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn multi_run_counts_sub_ops_and_commits_batches_atomically() {
-        let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
-        let server = ZkTcpServer::bind("127.0.0.1:0", replica).unwrap();
-        let spec = MultiSpec::batched_writes(6, 128, 3);
-        let report =
-            run_multi_batches(server.local_addr(), Arc::new(PlainCredentials), 10, &spec).unwrap();
-        assert_eq!(report.clients, 3);
-        assert_eq!(report.total_ops, 3 * 10 * 6);
-        assert!(report.throughput_rps > 0.0);
-        // Each committed batch consumed exactly one zxid (plus the two setup
-        // create attempts per client — duplicate-parent creates burn a zxid
-        // too), proving every batch travelled as a single transaction.
-        assert_eq!(server.replica().last_zxid(), 2 * 3 + 3 * 10);
         server.shutdown();
     }
 }

@@ -380,9 +380,11 @@ impl EnsembleCore {
                 if state.node.leader() == Some(from) {
                     state.last_leader_contact = Instant::now();
                 }
-                if matches!(&message, ZabMessage::ForwardWrite { .. })
-                    && state.node.role() == Role::Leader
-                {
+                // A forwarded write handled by the leader is a proposal just
+                // like a leader-local one: counted and timed the same way.
+                let proposes = matches!(&message, ZabMessage::ForwardWrite { .. })
+                    && state.node.role() == Role::Leader;
+                if proposes {
                     if self.draining.load(Ordering::SeqCst) {
                         // A draining leader's log tip is frozen; the frame is
                         // dropped, and the origin's waiter fails over to the
@@ -403,7 +405,13 @@ impl EnsembleCore {
                 if payload_ctx.is_some() {
                     trace::set_current(payload_ctx);
                 }
+                let propose_start = proposes.then(trace::now_ns);
                 state.node.handle(Envelope { from, message }, net);
+                if let Some(start) = propose_start {
+                    self.metrics
+                        .stages
+                        .observe_ns(Stage::Propose, trace::now_ns().saturating_sub(start));
+                }
                 self.apply_committed(&mut state);
             }
         }
@@ -1403,7 +1411,7 @@ impl ZkEnsembleServer {
                 let Some(core) = weak.upgrade() else { return };
                 let Some(persistence) = &core.persistence else { return };
                 fsyncs.raise_to(persistence.wal_fsyncs());
-                bytes.raise_to(persistence.wal_bytes());
+                bytes.raise_to(persistence.wal_appended_bytes());
                 snapshots.raise_to(persistence.snapshots_taken());
             });
         }

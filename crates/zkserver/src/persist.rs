@@ -427,6 +427,11 @@ impl ReplicaPersistence {
         self.wal.lock().fsync_count()
     }
 
+    /// Bytes appended to the WAL since open; never drops on a purge.
+    pub fn wal_appended_bytes(&self) -> u64 {
+        self.wal.lock().appended_bytes()
+    }
+
     /// Total bytes currently held by WAL segments.
     pub fn wal_bytes(&self) -> u64 {
         self.wal.lock().total_bytes()
@@ -675,6 +680,8 @@ mod tests {
         log.commit_up_to(Zxid { epoch: 1, counter: 7 });
         log.sync();
         let bytes_before = persistence.wal_bytes();
+        let appended_before = persistence.wal_appended_bytes();
+        assert!(appended_before >= 7 * 100, "seven 100-byte payloads appended");
 
         assert!(persistence.note_applied(4), "cadence reached");
         let snap_zxid = persistence.snapshot_now(&replica).unwrap();
@@ -683,6 +690,10 @@ mod tests {
         let snap_zxid = persistence.snapshot_now(&replica).unwrap();
         log.compact_through(snap_zxid);
         assert!(persistence.wal_bytes() < bytes_before, "covered segments purged");
+        assert!(
+            persistence.wal_appended_bytes() >= appended_before,
+            "the appended total is a counter: a purge never lowers it"
+        );
         assert_eq!(persistence.snapshots_taken(), 2);
 
         drop(log);

@@ -251,6 +251,11 @@ fn many_concurrent_connections_interleave_correctly() {
         setup.close();
     }
 
+    // 256 idle sessions share the server with the busy ones below: the
+    // transport must serve all of them from its fixed O(cores) thread pool.
+    let idle: Vec<ZkTcpClient> = (0..256).map(|_| ZkTcpClient::connect(addr).unwrap()).collect();
+    assert!(server.connection_count() >= 256, "{} sessions held", server.connection_count());
+
     let mut handles = Vec::new();
     for t in 0..8 {
         handles.push(std::thread::spawn(move || {
@@ -273,6 +278,17 @@ fn many_concurrent_connections_interleave_correctly() {
     }
     for handle in handles {
         handle.join().unwrap();
+    }
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = server.transport_thread_count();
+    assert!(
+        threads <= cores.min(4) + 2,
+        "{threads} transport threads for {} connections on {cores} cores",
+        server.connection_count()
+    );
+    for client in idle {
+        client.close();
     }
 
     let replica = server.replica();

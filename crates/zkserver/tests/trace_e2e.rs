@@ -93,6 +93,18 @@ fn wait_until(what: &str, mut condition: impl FnMut() -> bool) {
     }
 }
 
+/// `zk_stage_duration_seconds_count{stage=…}` as scraped from `/metrics`.
+fn stage_count(ops: SocketAddr, stage: &str) -> f64 {
+    let (code, text) = http_get(ops, "/metrics").expect("scrape");
+    assert_eq!(code, 200);
+    let needle = format!("zk_stage_duration_seconds_count{{stage=\"{stage}\"}}");
+    let line = text
+        .lines()
+        .find(|line| line.starts_with(&needle))
+        .unwrap_or_else(|| panic!("{needle} missing from /metrics"));
+    line[needle.len()..].trim().parse().expect("sample value")
+}
+
 /// The distinct stage names recorded for one trace.
 fn stage_names(trace_id: u64) -> BTreeSet<&'static str> {
     trace::spans_for(trace_id).iter().map(|span| span.stage.name()).collect()
@@ -193,16 +205,8 @@ fn plain_write_trace_spans_the_whole_durable_pipeline() {
 
     // The same stages feed the per-stage histograms, traced or not.
     let ops = member.server().ops_addr().expect("ops endpoint configured");
-    let (code, text) = http_get(ops, "/metrics").expect("scrape");
-    assert_eq!(code, 200);
     for stage in ["queue_wait", "propose", "quorum_ack", "wal_fsync", "apply", "reply_flush"] {
-        let needle = format!("zk_stage_duration_seconds_count{{stage=\"{stage}\"}}");
-        let line = text
-            .lines()
-            .find(|line| line.starts_with(&needle))
-            .unwrap_or_else(|| panic!("{needle} missing from /metrics"));
-        let count: f64 = line[needle.len()..].trim().parse().expect("sample value");
-        assert!(count >= 1.0, "{needle} never observed: {line}");
+        assert!(stage_count(ops, stage) >= 1.0, "stage {stage} never observed");
     }
 
     // The trace exports through both ops surfaces, assembled and rooted.
@@ -327,6 +331,19 @@ fn traces_survive_leader_failover() {
             .into_iter()
             .collect();
     let before = traced_create_with_stages(&mut client, "/pre-failover", &expected);
+
+    // A write submitted to a follower is forwarded; the leader proposes it
+    // and its `propose` histogram must see it like a leader-local write.
+    let leader_ops = servers[0].ops_addr().expect("ops endpoint configured");
+    let proposed = stage_count(leader_ops, "propose");
+    let mut via_follower =
+        ZkTcpClient::connect(servers[1].client_addr()).expect("connect follower");
+    via_follower.create("/via-follower", vec![], CreateMode::Persistent).expect("forwarded create");
+    via_follower.close();
+    assert!(
+        stage_count(leader_ops, "propose") > proposed,
+        "the leader's propose histogram missed a forwarded write"
+    );
 
     // Kill the leader. The client fails over to a survivor; the next
     // traced write must produce a complete, rooted trace under the new

@@ -14,7 +14,8 @@
 //! * [`workload`] — the evaluation harness that regenerates the paper's
 //!   figures and tables.
 //!
-//! See `README.md` for a guided tour and `DESIGN.md` for the experiment index.
+//! See `README.md` for a guided tour and `perf/README.md` for how the system
+//! is measured.
 
 #![forbid(unsafe_code)]
 
