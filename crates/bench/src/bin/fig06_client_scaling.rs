@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use securekeeper::integration::{secure_standalone, SecureKeeperConfig};
+use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
 use securekeeper::SecureSessionCredentials;
 use workload::costmodel::ServiceCostModel;
 use workload::metrics::{Figure, Series};
@@ -64,7 +64,7 @@ fn run_networked_mode() {
     let mut secure = Series::new("securekeeper (measured)");
     {
         let config = SecureKeeperConfig::with_label("fig06-net");
-        let (replica, _interceptor, _counter) = secure_standalone(&config);
+        let (replica, _interceptor, _counter) = secure_ensemble_replica(1, &config);
         let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
         for &clients in &client_counts {
             let credentials: Arc<dyn SessionCredentials> = Arc::new(SecureSessionCredentials);

@@ -1,6 +1,5 @@
 //! Figure 11: YCSB-style mixed synchronous read/write workload, throughput
-//! versus payload size, plus a real (measured) YCSB run against the in-process
-//! clusters at a reduced operation count.
+//! versus payload size.
 
 use workload::costmodel::ServiceCostModel;
 use workload::metrics::{Figure, Series};

@@ -1,7 +1,7 @@
 //! Table 1: per-operation overhead of TLS-ZK and SecureKeeper versus vanilla
 //! ZooKeeper, for synchronous and asynchronous requests, plus the read/write
 //! and global averages — and a wall-clock cross-check against the real
-//! in-process implementations.
+//! implementations on loopback servers.
 
 use workload::costmodel::ServiceCostModel;
 use workload::measured::compare_variants;
@@ -19,7 +19,7 @@ fn main() {
     let (tls, sk) = table.global_average();
     println!("model summary: TLS-ZK {tls:.1}% | SecureKeeper {sk:.1}% | delta {:.1}%", sk - tls);
 
-    println!("\nwall-clock cross-check (real in-process clusters, 4 clients, 512 B payload):");
+    println!("\nwall-clock cross-check (real loopback servers, 4 clients, 512 B payload):");
     let measured = compare_variants(2_000, 512);
     let vanilla = measured
         .iter()
@@ -36,7 +36,7 @@ fn main() {
             overhead
         );
     }
-    println!("\n(absolute wall-clock numbers reflect this machine and the in-process");
+    println!("\n(absolute wall-clock numbers reflect this machine and the loopback");
     println!("transport; only the ordering and rough magnitude are comparable.");
     println!("The crypto is a from-scratch software AES: run with --release — and note");
     println!("that the paper's enclaves use AES-NI, so its relative overheads are far");

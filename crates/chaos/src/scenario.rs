@@ -780,9 +780,8 @@ fn worker_loop(
     stats
 }
 
-/// Creates the register and mirror znodes (idempotently). Generic over the
-/// unified client trait so the same setup runs against any transport.
-fn setup_paths<C: zkserver::ZooKeeper<Error = ZkError>>(client: &mut C) -> Result<(), String> {
+/// Creates the register and mirror znodes (idempotently).
+fn setup_paths(client: &mut ZkTcpClient) -> Result<(), String> {
     for (path, data) in [
         ("/chaos", Vec::new()),
         (REGISTER, encode_value(0)),

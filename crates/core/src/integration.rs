@@ -6,8 +6,9 @@
 //! `zkserver` crate exposes exactly those two seams —
 //! [`zkserver::pipeline::RequestInterceptor`] and
 //! [`zkserver::ops::SequentialNamer`] — and this module provides the
-//! SecureKeeper implementations plus [`secure_cluster`], which assembles a
-//! hardened ensemble.
+//! SecureKeeper implementations plus [`secure_ensemble_replica`], which
+//! assembles one hardened replica for a [`zkserver::net::ZkTcpServer`] or a
+//! [`zkserver::ensemble::ZkEnsembleServer`] member.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,12 +18,10 @@ use parking_lot::Mutex;
 
 use jute::records::OpCode;
 use sgx_sim::{CostModel, Epc};
-use zab::NodeId;
 use zkcrypto::keys::{SessionKey, StorageKey};
-use zkserver::client::{share, SharedCluster};
 use zkserver::ops::{DefaultSequentialNamer, SequentialNamer};
 use zkserver::pipeline::{InterceptorStats, RequestInterceptor};
-use zkserver::{ZkCluster, ZkError, ZkReplica};
+use zkserver::{ZkError, ZkReplica};
 
 use crate::counter::CounterEnclave;
 use crate::entry::EntryEnclave;
@@ -124,16 +123,12 @@ impl SecureKeeperInterceptor {
     ///
     /// In the real system this happens during the TLS-like handshake that the
     /// client performs against the enclave after (implicit) attestation; here
-    /// the client library calls it right after `connect`.
+    /// the connect handshake carries the key ([`Self::on_session_established`]).
     ///
     /// # Errors
     ///
     /// Returns [`SkError::Enclave`] when the EPC cannot hold another enclave.
-    pub fn register_session(
-        &self,
-        session_id: i64,
-        session_key: &SessionKey,
-    ) -> Result<(), SkError> {
+    fn register_session(&self, session_id: i64, session_key: &SessionKey) -> Result<(), SkError> {
         let enclave = EntryEnclave::with_path_cache(
             &self.epc,
             &self.storage_key,
@@ -259,91 +254,18 @@ impl SequentialNamer for SecureKeeperNamer {
     }
 }
 
-/// Handles to the per-replica SecureKeeper components, needed by clients (to
-/// register their session keys) and by the benchmark harness (to read enclave
-/// statistics).
-#[derive(Debug, Clone)]
-pub struct SecureKeeperHandles {
-    interceptors: HashMap<NodeId, Arc<SecureKeeperInterceptor>>,
-    counters: HashMap<NodeId, Arc<CounterEnclave>>,
-    config: SecureKeeperConfig,
-}
-
-impl SecureKeeperHandles {
-    /// The interceptor (entry-enclave manager) of a replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is not part of the cluster.
-    pub fn interceptor(&self, replica: NodeId) -> Arc<SecureKeeperInterceptor> {
-        Arc::clone(&self.interceptors[&replica])
-    }
-
-    /// The counter enclave of a replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is not part of the cluster.
-    pub fn counter(&self, replica: NodeId) -> Arc<CounterEnclave> {
-        Arc::clone(&self.counters[&replica])
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> &SecureKeeperConfig {
-        &self.config
-    }
-
-    /// Registers a client session's transport key with the entry-enclave
-    /// manager of the replica the session is connected to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SkError::Enclave`] if the replica is unknown or its EPC is full.
-    pub fn register_session(
-        &self,
-        replica: NodeId,
-        session_id: i64,
-        session_key: &SessionKey,
-    ) -> Result<(), SkError> {
-        let interceptor = self
-            .interceptors
-            .get(&replica)
-            .ok_or_else(|| SkError::Enclave { reason: format!("unknown replica {replica}") })?;
-        interceptor.register_session(session_id, session_key)
-    }
-}
-
-/// Builds a single SecureKeeper-hardened replica for the networked transport
-/// ([`zkserver::net::ZkTcpServer`]): entry-enclave interceptor, counter-enclave
-/// namer, and a monotonic clock so session expiry follows wall-clock time.
+/// Builds one SecureKeeper-hardened replica with id `id`: entry-enclave
+/// interceptor, counter-enclave namer, and a monotonic clock so session
+/// expiry follows wall-clock time. Serve it standalone from a
+/// [`zkserver::net::ZkTcpServer`] (`id` 1), or build one per member of a
+/// [`zkserver::ensemble::ZkEnsembleServer`]: every member then gets its own
+/// EPC, entry-enclave manager and counter enclave while sharing the storage
+/// key from `config` — the property that lets a session key installed on one
+/// replica be replayed to another after a crash, and that keeps the
+/// deterministic path encryption identical on all replicas (the replicated
+/// trees stay byte-for-byte equal).
 ///
-/// Returns the replica plus handles to the per-replica enclaves (for
-/// statistics and key registration).
-pub fn secure_standalone(
-    config: &SecureKeeperConfig,
-) -> (Arc<ZkReplica>, Arc<SecureKeeperInterceptor>, Arc<CounterEnclave>) {
-    let interceptor = Arc::new(SecureKeeperInterceptor::new(config));
-    let counter = Arc::new(
-        CounterEnclave::new(interceptor.epc(), &config.storage_key, config.cost_model.clone())
-            .expect("a fresh EPC always fits one counter enclave"),
-    );
-    let replica = Arc::new(
-        ZkReplica::new(1)
-            .with_interceptor(Arc::clone(&interceptor) as Arc<dyn RequestInterceptor>)
-            .with_namer(Arc::new(SecureKeeperNamer::new(Arc::clone(&counter))))
-            .with_clock(Arc::new(zkserver::session::MonotonicClock::new())),
-    );
-    (replica, interceptor, counter)
-}
-
-/// Builds one SecureKeeper-hardened replica for the *networked* replicated
-/// ensemble ([`zkserver::ensemble::ZkEnsembleServer`]): like
-/// [`secure_standalone`] but with an explicit replica id, so every member of
-/// the ensemble gets its own EPC, entry-enclave manager and counter enclave
-/// while sharing the storage key from `config` — the property that lets a
-/// session key installed on one replica be replayed to another after a
-/// crash, and that keeps the deterministic path encryption identical on all
-/// replicas (the replicated trees stay byte-for-byte equal).
+/// Returns the replica plus handles to its enclaves (for statistics).
 pub fn secure_ensemble_replica(
     id: u32,
     config: &SecureKeeperConfig,
@@ -362,39 +284,6 @@ pub fn secure_ensemble_replica(
     (replica, interceptor, counter)
 }
 
-/// Builds a SecureKeeper-hardened ensemble of `size` replicas.
-///
-/// Every replica gets its own EPC, entry-enclave manager and counter enclave;
-/// all of them share the storage key from `config`.
-pub fn secure_cluster(
-    size: usize,
-    config: &SecureKeeperConfig,
-) -> (SharedCluster, SecureKeeperHandles) {
-    let interceptors: Mutex<HashMap<NodeId, Arc<SecureKeeperInterceptor>>> =
-        Mutex::new(HashMap::new());
-    let counters: Mutex<HashMap<NodeId, Arc<CounterEnclave>>> = Mutex::new(HashMap::new());
-
-    let cluster = ZkCluster::with_replica_factory(size, |id| {
-        let interceptor = Arc::new(SecureKeeperInterceptor::new(config));
-        let counter = Arc::new(
-            CounterEnclave::new(interceptor.epc(), &config.storage_key, config.cost_model.clone())
-                .expect("a fresh EPC always fits one counter enclave"),
-        );
-        interceptors.lock().insert(NodeId(id), Arc::clone(&interceptor));
-        counters.lock().insert(NodeId(id), Arc::clone(&counter));
-        ZkReplica::new(id)
-            .with_interceptor(interceptor)
-            .with_namer(Arc::new(SecureKeeperNamer::new(counter)))
-    });
-
-    let handles = SecureKeeperHandles {
-        interceptors: interceptors.into_inner(),
-        counters: counters.into_inner(),
-        config: config.clone(),
-    };
-    (share(cluster), handles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,76 +291,78 @@ mod tests {
     #[test]
     fn secure_cluster_creates_per_replica_components() {
         let config = SecureKeeperConfig::with_label("integration-test");
-        let (cluster, handles) = secure_cluster(3, &config);
-        let ids = cluster.lock().replica_ids();
-        assert_eq!(ids.len(), 3);
-        for id in ids {
-            assert_eq!(handles.interceptor(id).entry_enclave_count(), 0);
-            assert_eq!(handles.counter(id).merges(), 0);
+        let members: Vec<_> = (1..=3).map(|id| secure_ensemble_replica(id, &config)).collect();
+        for (id, (replica, interceptor, counter)) in (1..=3).zip(&members) {
+            assert_eq!(replica.id(), id);
+            assert_eq!(interceptor.entry_enclave_count(), 0);
+            assert_eq!(counter.merges(), 0);
             // Counter enclave occupies the replica's EPC.
-            assert!(handles.interceptor(id).epc().usage().allocated_bytes > 0);
+            assert!(interceptor.epc().usage().allocated_bytes > 0);
         }
-        assert_eq!(handles.config().storage_key, config.storage_key);
+        // Every member owns its own enclaves.
+        assert!(!Arc::ptr_eq(&members[0].1, &members[1].1));
+        assert!(!Arc::ptr_eq(&members[1].2, &members[2].2));
     }
 
     #[test]
     fn register_session_creates_an_entry_enclave() {
         let config = SecureKeeperConfig::with_label("integration-test");
-        let (cluster, handles) = secure_cluster(1, &config);
-        let replica = cluster.lock().replica_ids()[0];
+        let (_replica, interceptor, _counter) = secure_ensemble_replica(1, &config);
         let key = SessionKey::derive_from_label("c1");
-        handles.register_session(replica, 77, &key).unwrap();
-        assert_eq!(handles.interceptor(replica).entry_enclave_count(), 1);
+        interceptor.on_session_established(77, key.key().as_bytes()).unwrap();
+        assert_eq!(interceptor.entry_enclave_count(), 1);
         // Closing the session tears the enclave down.
-        handles.interceptor(replica).on_session_closed(77);
-        assert_eq!(handles.interceptor(replica).entry_enclave_count(), 0);
+        interceptor.on_session_closed(77);
+        assert_eq!(interceptor.entry_enclave_count(), 0);
+        // A plaintext handshake gets no enclave.
+        assert!(interceptor.on_session_established(78, &[]).is_err());
     }
 
     #[test]
     fn requests_without_a_registered_session_are_rejected() {
         let config = SecureKeeperConfig::with_label("integration-test");
-        let (_cluster, handles) = secure_cluster(1, &config);
-        let interceptor = handles.interceptor(NodeId(1));
+        let (_replica, interceptor, _counter) = secure_ensemble_replica(1, &config);
         let mut buffer = vec![0u8; 16];
         assert!(interceptor.on_request(123, &mut buffer).is_err());
     }
 
     #[test]
-    fn register_session_on_unknown_replica_fails() {
-        let config = SecureKeeperConfig::with_label("integration-test");
-        let (_cluster, handles) = secure_cluster(1, &config);
-        let key = SessionKey::derive_from_label("c1");
-        assert!(handles.register_session(NodeId(99), 1, &key).is_err());
-    }
-
-    #[test]
     fn path_cache_is_shared_across_sessions_of_a_replica() {
-        use crate::client::SecureKeeperClient;
+        use crate::transport::SecureSessionCredentials;
         use jute::records::CreateMode;
+        use zkserver::{ZkTcpClient, ZkTcpServer};
 
         let config = SecureKeeperConfig::with_label("integration-test");
-        let (cluster, handles) = secure_cluster(1, &config);
-        let replica = cluster.lock().replica_ids()[0];
+        let (replica, interceptor, _counter) = secure_ensemble_replica(1, &config);
+        let server = ZkTcpServer::bind("127.0.0.1:0", replica).unwrap();
+        let connect = || {
+            ZkTcpClient::connect_with(
+                server.local_addr(),
+                Arc::new(SecureSessionCredentials),
+                30_000,
+            )
+            .unwrap()
+        };
 
-        let first = SecureKeeperClient::connect(&cluster, &handles, replica).unwrap();
+        let mut first = connect();
         first.create("/shared", b"v".to_vec(), CreateMode::Persistent).unwrap();
-        let interceptor = handles.interceptor(replica);
         assert!(!interceptor.path_cache().is_empty(), "create warmed the cache");
         let misses_after_warm = interceptor.path_cache().misses();
 
         // A *different* session reading the same path hits the shared cache.
-        let second = SecureKeeperClient::connect(&cluster, &handles, replica).unwrap();
+        let mut second = connect();
         let (value, _) = second.get_data("/shared", false).unwrap();
         assert_eq!(value, b"v");
         assert!(interceptor.path_cache().hits() >= 1, "second session reused the entry");
         assert_eq!(interceptor.path_cache().misses(), misses_after_warm, "no new misses");
+        server.shutdown();
     }
 
     #[test]
     fn namer_falls_back_on_plaintext_paths() {
         let config = SecureKeeperConfig::with_label("integration-test");
-        let (_cluster, handles) = secure_cluster(1, &config);
-        let namer = SecureKeeperNamer::new(handles.counter(NodeId(1)));
+        let (_replica, _interceptor, counter) = secure_ensemble_replica(1, &config);
+        let namer = SecureKeeperNamer::new(counter);
         // A plaintext path (not produced by an entry enclave) falls back to
         // vanilla naming instead of panicking.
         assert_eq!(namer.name("/plain/node-", 3), "/plain/node-0000000003");

@@ -27,41 +27,46 @@
 //! * [`integration`] — the minimally invasive glue: a
 //!   [`zkserver::pipeline::RequestInterceptor`] that owns the per-session
 //!   entry enclaves and a [`zkserver::ops::SequentialNamer`] backed by the
-//!   counter enclave, plus [`integration::secure_cluster`] which builds a
-//!   ready-to-use hardened ensemble.
-//! * [`client::SecureKeeperClient`] — the client-side library: same typed API
-//!   as [`zkserver::ZkClient`], but every message is transport-encrypted with
-//!   the per-session key negotiated with the entry enclave.
+//!   counter enclave, plus [`integration::secure_ensemble_replica`] which
+//!   builds a hardened replica for a loopback server or an ensemble member.
+//! * [`transport`] — the client side: [`SecureSessionCredentials`] (and the
+//!   failover-capable [`ReplayableSessionCredentials`]) plug into the
+//!   unmodified [`zkserver::ZkTcpClient`] and key its wire cipher with the
+//!   entry enclave — the only change an application makes (the paper
+//!   reports fewer than 100 added lines on the client side).
 //!
 //! ## Example
 //!
 //! ```
-//! use securekeeper::client::SecureKeeperClient;
-//! use securekeeper::integration::{secure_cluster, SecureKeeperConfig};
+//! use std::sync::Arc;
 //! use jute::records::CreateMode;
+//! use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
+//! use securekeeper::SecureSessionCredentials;
+//! use zkserver::{ZkTcpClient, ZkTcpServer};
 //!
 //! let config = SecureKeeperConfig::with_label("example-cluster");
-//! let (cluster, handles) = secure_cluster(3, &config);
-//! let replica = cluster.lock().replica_ids()[0];
-//! let client = SecureKeeperClient::connect(&cluster, &handles, replica).unwrap();
+//! let (replica, _interceptor, _counter) = secure_ensemble_replica(1, &config);
+//! let server = ZkTcpServer::bind("127.0.0.1:0", Arc::clone(&replica))?;
+//! let mut client =
+//!     ZkTcpClient::connect_with(server.local_addr(), Arc::new(SecureSessionCredentials), 30_000)?;
 //!
-//! client.create("/app", b"".to_vec(), CreateMode::Persistent).unwrap();
-//! client.create("/app/db-password", b"hunter2".to_vec(), CreateMode::Persistent).unwrap();
-//! let (payload, _) = client.get_data("/app/db-password", false).unwrap();
+//! client.create("/app", b"".to_vec(), CreateMode::Persistent)?;
+//! client.create("/app/db-password", b"hunter2".to_vec(), CreateMode::Persistent)?;
+//! let (payload, _) = client.get_data("/app/db-password", false)?;
 //! assert_eq!(payload, b"hunter2");
 //!
 //! // The untrusted store never sees the plaintext path or payload.
-//! let guard = cluster.lock();
-//! let leader = guard.leader_id();
-//! for path in guard.replica(leader).tree().paths() {
+//! for path in replica.tree().paths() {
 //!     assert!(!path.contains("db-password"));
 //! }
+//! client.close();
+//! server.shutdown();
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod counter;
 pub mod entry;
 pub mod error;
@@ -73,14 +78,10 @@ pub mod payload_crypto;
 pub mod sealed_client;
 pub mod transport;
 
-pub use client::SecureKeeperClient;
 pub use counter::CounterEnclave;
 pub use entry::EntryEnclave;
 pub use error::SkError;
-pub use integration::{
-    secure_cluster, secure_ensemble_replica, secure_standalone, SecureKeeperConfig,
-    SecureKeeperHandles,
-};
+pub use integration::{secure_ensemble_replica, SecureKeeperConfig};
 pub use path_cache::PathCipherCache;
 pub use sealed_client::SealedClient;
 pub use transport::{ReplayableSessionCredentials, SecureSessionCredentials, SecureWire};

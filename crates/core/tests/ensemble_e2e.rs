@@ -11,7 +11,9 @@
 //!   after failover: the client replays its session key to a survivor
 //!   ([`ReplayableSessionCredentials`]), which installs it in a fresh entry
 //!   enclave;
-//! * the surviving replicas converge to identical trees and zxids.
+//! * the surviving replicas converge to identical trees and zxids;
+//! * sequential names stay unique and gapless across a leader failover,
+//!   because the parent's counter is replicated state.
 //!
 //! CI runs this file in the `ensemble-e2e` job (secure leg of the matrix).
 
@@ -154,6 +156,58 @@ fn pre_crash_secure_session_keeps_decrypting_after_leader_failover() {
     assert_eq!(servers[1].replica().tree().paths(), reference, "survivors diverged");
     for path in reference {
         assert!(!path.contains("secret"), "plaintext path leaked: {path}");
+    }
+    client.close();
+}
+
+#[test]
+fn sequence_numbers_remain_gapless_and_unique_across_leader_failover() {
+    let mut servers = start_secure_ensemble(3);
+    assert!(servers[0].is_leader());
+    let credentials = Arc::new(ReplayableSessionCredentials::generate());
+    let mut client = ZkTcpClient::connect_with(
+        servers[2].client_addr(),
+        Arc::clone(&credentials) as Arc<dyn zkserver::net::SessionCredentials>,
+        30_000,
+    )
+    .expect("secure connect to a follower");
+    client.create("/queue", Vec::new(), CreateMode::Persistent).unwrap();
+    let mut names = Vec::new();
+    for _ in 0..5 {
+        names.push(
+            client.create("/queue/item-", b"x".to_vec(), CreateMode::PersistentSequential).unwrap(),
+        );
+    }
+
+    servers.remove(0).shutdown();
+    wait_until("election", || servers.iter().any(|s| s.is_leader()));
+    // A sequential create is not idempotent, so wait for the new leader
+    // with an idempotent write before resuming the queue.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.set_data("/queue", b"probe".to_vec(), -1).is_err() {
+        assert!(Instant::now() < deadline, "writes never resumed after the failover");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    for _ in 0..5 {
+        names.push(
+            client.create("/queue/item-", b"x".to_vec(), CreateMode::PersistentSequential).unwrap(),
+        );
+    }
+
+    // All ten names are unique, ordered, and numbered 0..10 with no gaps: the
+    // parent's counter is replicated state, so the failover cannot fork it.
+    let expected: Vec<String> = (0..10).map(|i| format!("/queue/item-{i:010}")).collect();
+    assert_eq!(names, expected);
+    let mut children = client.get_children("/queue", false).unwrap();
+    children.sort();
+    assert_eq!(children.len(), 10);
+    wait_until("zxid convergence", || {
+        servers[0].last_applied_zxid() == servers[1].last_applied_zxid()
+    });
+    let reference = servers[0].replica().tree().paths();
+    assert_eq!(servers[1].replica().tree().paths(), reference, "survivors diverged");
+    for path in reference {
+        assert!(!path.contains("queue") && !path.contains("item"), "plaintext leaked: {path}");
     }
     client.close();
 }

@@ -10,7 +10,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use jute::records::CreateMode;
-use securekeeper::integration::{secure_standalone, SecureKeeperConfig};
+use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
 use securekeeper::SecureSessionCredentials;
 use zkserver::net::ZkTcpServer;
 use zkserver::watch::WatchEventKind;
@@ -23,7 +23,7 @@ const OPS_PER_CLIENT: usize = 12;
 
 fn secure_server() -> (ZkTcpServer, Arc<securekeeper::integration::SecureKeeperInterceptor>) {
     let config = SecureKeeperConfig::with_label("net-e2e");
-    let (replica, interceptor, _counter) = secure_standalone(&config);
+    let (replica, interceptor, _counter) = secure_ensemble_replica(1, &config);
     let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback");
     (server, interceptor)
 }
@@ -366,5 +366,42 @@ fn sequential_nodes_and_ephemerals_work_over_the_secure_wire() {
         std::thread::sleep(Duration::from_millis(5));
     }
     observer.close();
+    server.shutdown();
+}
+
+#[test]
+fn crud_cycle_with_confidential_storage() {
+    let (server, _interceptor) = secure_server();
+    let mut client = secure_client(&server);
+
+    client.create("/app", b"root".to_vec(), CreateMode::Persistent).unwrap();
+    client.create("/app/db-password", b"hunter2".to_vec(), CreateMode::Persistent).unwrap();
+    assert!(matches!(
+        client.create("/app/db-password", vec![], CreateMode::Persistent),
+        Err(ZkError::NodeExists { .. })
+    ));
+
+    let (data, stat) = client.get_data("/app/db-password", false).unwrap();
+    assert_eq!(data, b"hunter2");
+    assert_eq!(stat.data_length, 7);
+
+    client.set_data("/app/db-password", b"correct horse".to_vec(), 0).unwrap();
+    let (data, _) = client.get_data("/app/db-password", false).unwrap();
+    assert_eq!(data, b"correct horse");
+
+    assert_eq!(client.get_children("/app", false).unwrap(), vec!["db-password"]);
+    assert!(client.exists("/app/db-password", false).unwrap().is_some());
+    assert!(client.exists("/app/missing", false).unwrap().is_none());
+
+    client.delete("/app/db-password", -1).unwrap();
+    assert!(matches!(client.get_data("/app/db-password", false), Err(ZkError::NoNode { .. })));
+    client.ping().unwrap();
+
+    // Nothing in the untrusted store reveals the plaintext.
+    for path in server.replica().tree().paths() {
+        assert!(!path.contains("app"), "plaintext path leaked: {path}");
+        assert!(!path.contains("db-password"), "plaintext path leaked: {path}");
+    }
+    client.close();
     server.shutdown();
 }

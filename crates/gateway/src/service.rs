@@ -139,26 +139,23 @@ impl ReaderCtx {
     /// Releases every reply whose xid has reached the FIFO head and has
     /// its frame ready, rebasing each zxid as it goes out. When the close
     /// ack is released, starts the drain-and-part.
+    ///
+    /// Pop and send happen under one hold of the connection's state lock:
+    /// two backend reader threads that each popped a head in order could
+    /// otherwise send them out of order. `send_framed` only appends to
+    /// netcore's outbound queue and never calls back into the service, so
+    /// the lock order (front state, then netcore's queue) cannot invert.
     fn drain_ready(&self, conn: &Arc<Conn<FrontSlot>>, lanes: &[AtomicI64]) {
-        loop {
-            let mut state = conn.state.inner.lock();
-            let ready = match state.pending.front() {
-                Some(next) if state.stowed.contains_key(&next.xid) => {
-                    let next = state.pending.pop_front().expect("head exists");
-                    let frame = state.stowed.remove(&next.xid).expect("checked above");
-                    Some((next, frame))
-                }
-                _ => None,
-            };
-            let close_after = state.close_after;
-            drop(state);
-            let Some((entry, mut frame)) = ready else { break };
+        let mut state = conn.state.inner.lock();
+        while let Some(xid) = state.pending.front().map(|head| head.xid) {
+            let Some(mut frame) = state.stowed.remove(&xid) else { break };
+            let entry = state.pending.pop_front().expect("head exists");
             rebase_zxid(&mut frame, self.merged_zxid(lanes));
             let _ = conn.send_framed(|_| Ok(()), frame);
             if let Some(shard) = entry.shard {
                 self.metrics.request_latency[shard].observe_duration(entry.submitted.elapsed());
             }
-            if close_after == Some(entry.xid) {
+            if state.close_after == Some(entry.xid) {
                 conn.close_after_flush();
                 break;
             }

@@ -305,33 +305,42 @@ fn watches_fire_through_the_gateway_with_merged_zxids() {
     writer.close();
 }
 
+/// Four shards, one node each, for the FIFO stress test below.
+const FIFO_RULES: &[(&str, usize)] = &[("/", 0), ("/app", 1), ("/b", 2), ("/c", 3)];
+const FIFO_PATHS: [&str; 4] = ["/p0", "/app/p1", "/b/p2", "/c/p3"];
+/// Requests in flight per round, and rounds per run.
+const FIFO_DEPTH: usize = 64;
+const FIFO_ROUNDS: usize = 30;
+
 #[test]
 fn pipelined_submissions_across_shards_release_in_order() {
-    let fixture = ShardedFixture::start(RULES, 1);
+    let fixture = ShardedFixture::start(FIFO_RULES, 1);
     let mut client = fixture.connect();
-    client.create("/p0", b"s0".to_vec(), CreateMode::Persistent).unwrap();
-    client.create("/app/p1", b"s1".to_vec(), CreateMode::Persistent).unwrap();
-
-    // Interleave reads against both shards without waiting, then redeem in
-    // submission order: the gateway must splice the two backend reply
-    // streams back into FIFO (the client itself errors on any violation).
-    let mut tickets = Vec::new();
-    for i in 0..20 {
-        let path = if i % 2 == 0 { "/p0" } else { "/app/p1" };
-        let request = jute::Request::GetData(jute::records::GetDataRequest {
-            path: path.into(),
-            watch: false,
-        });
-        tickets.push(client.submit(&request).unwrap());
+    for (shard, path) in FIFO_PATHS.iter().enumerate() {
+        client.create(path, format!("s{shard}").into_bytes(), CreateMode::Persistent).unwrap();
     }
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let response = client.wait(ticket).unwrap();
-        match response {
-            jute::Response::GetData(get) => {
-                let expected: &[u8] = if i % 2 == 0 { b"s0" } else { b"s1" };
-                assert_eq!(get.data, expected, "ticket {i}");
+
+    // Each round interleaves reads against all four shards without waiting,
+    // then redeems them in submission order: the gateway must splice four
+    // backend reply streams, each drained by its own reader thread, back
+    // into FIFO (the client itself errors on any out-of-order reply).
+    for round in 0..FIFO_ROUNDS {
+        let mut tickets = Vec::with_capacity(FIFO_DEPTH);
+        for i in 0..FIFO_DEPTH {
+            let request = jute::Request::GetData(jute::records::GetDataRequest {
+                path: FIFO_PATHS[i % FIFO_PATHS.len()].into(),
+                watch: false,
+            });
+            tickets.push(client.submit(&request).unwrap());
+        }
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            match client.wait(ticket) {
+                Ok(jute::Response::GetData(get)) => {
+                    let expected = format!("s{}", i % FIFO_PATHS.len());
+                    assert_eq!(get.data, expected.as_bytes(), "round {round}, ticket {i}");
+                }
+                other => panic!("round {round}, ticket {i}: unexpected {other:?}"),
             }
-            other => panic!("ticket {i}: unexpected response {other:?}"),
         }
     }
     client.close();

@@ -18,7 +18,7 @@
 //!   SecureKeeper converges towards TLS-ZK as payloads grow.
 //!
 //! The `measured` module cross-checks the *relative* overheads of this model
-//! against real executions of the in-process clusters.
+//! against real executions on loopback servers.
 
 use crate::variant::{OpKind, RequestMode, Variant};
 

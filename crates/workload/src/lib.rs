@@ -13,9 +13,10 @@
 //! * [`generator`] — request generators for the paper's 70:30 GET/SET mix and
 //!   per-operation workloads;
 //! * [`ycsb`] — a YCSB-style mixed workload generator (Figure 11);
-//! * [`measured`] — drives the *real* in-process clusters (vanilla,
-//!   TLS-emulated and SecureKeeper) and measures wall-clock throughput, used
-//!   to validate the relative overheads of the analytic model;
+//! * [`measured`] — drives the *real* servers (vanilla, TLS-emulated and
+//!   SecureKeeper, each on a loopback [`zkserver::net::ZkTcpServer`]) and
+//!   measures wall-clock throughput, used to validate the relative overheads
+//!   of the analytic model;
 //! * [`netdriver`] — drives N *real TCP connections* against a live
 //!   [`zkserver::net::ZkTcpServer`], measuring actual connection concurrency
 //!   (the networked variant of the Figure 6 client-scaling experiment);

@@ -1,27 +1,29 @@
-//! Wall-clock measurements against the real in-process clusters.
+//! Wall-clock measurements against the real servers.
 //!
 //! The analytic cost model reproduces the paper's published percentages; this
 //! module provides the cross-check: it drives the *actual* implementations —
 //! vanilla `zkserver`, a TLS-emulated variant (transport encryption terminated
 //! in untrusted replica code), and full SecureKeeper — with the same workload
-//! and measures requests per second of wall-clock time. Absolute numbers
-//! reflect this machine, but the ordering (vanilla ≥ TLS ≥ SecureKeeper) and
-//! the rough magnitude of the overheads are directly comparable with Table 1.
+//! and measures requests per second of wall-clock time. All three run on a
+//! loopback [`ZkTcpServer`] behind the same [`ZkTcpClient`]; only the
+//! replica's interceptor (and the client's credentials) differ. Absolute
+//! numbers reflect this machine, but the ordering (vanilla ≥ TLS ≥
+//! SecureKeeper) and the rough magnitude of the overheads are directly
+//! comparable with Table 1.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use jute::records::{OpCode, RequestHeader};
-use jute::{Request, Response};
+use jute::records::OpCode;
 use parking_lot::Mutex;
-use securekeeper::integration::{secure_cluster, SecureKeeperConfig};
+use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
 use securekeeper::transport::TransportChannel;
-use securekeeper::SecureKeeperClient;
-use zkcrypto::keys::SessionKey;
-use zkserver::client::{share, SharedCluster};
+use securekeeper::SecureSessionCredentials;
+use zkcrypto::keys::{Key128, SessionKey};
+use zkserver::net::{PlainCredentials, SessionCredentials};
 use zkserver::pipeline::RequestInterceptor;
-use zkserver::{ZkCluster, ZkError, ZkReplica};
+use zkserver::{ZkError, ZkReplica, ZkTcpClient, ZkTcpServer};
 
 use crate::generator::WorkloadSpec;
 use crate::variant::Variant;
@@ -60,11 +62,6 @@ impl TlsInterceptor {
         Self::default()
     }
 
-    /// Registers the server-side endpoint of a session's TLS-like channel.
-    pub fn register_session(&self, session_id: i64, key: &SessionKey) {
-        self.channels.lock().insert(session_id, Arc::new(TransportChannel::enclave_side(key)));
-    }
-
     fn channel(&self, session_id: i64) -> Result<Arc<TransportChannel>, ZkError> {
         self.channels.lock().get(&session_id).cloned().ok_or(ZkError::Marshalling {
             reason: format!("no TLS channel for session {session_id}"),
@@ -73,6 +70,17 @@ impl TlsInterceptor {
 }
 
 impl RequestInterceptor for TlsInterceptor {
+    fn on_session_established(&self, session_id: i64, handshake: &[u8]) -> Result<(), ZkError> {
+        // The handshake blob carries the session key, as for SecureKeeper;
+        // here untrusted replica code keeps it.
+        let key: [u8; 16] = handshake.try_into().map_err(|_| ZkError::Marshalling {
+            reason: format!("TLS handshake blob must be 16 bytes, got {}", handshake.len()),
+        })?;
+        let channel = TransportChannel::enclave_side(&SessionKey(Key128::from_bytes(key)));
+        self.channels.lock().insert(session_id, Arc::new(channel));
+        Ok(())
+    }
+
     fn on_request(&self, session_id: i64, buffer: &mut Vec<u8>) -> Result<(), ZkError> {
         let channel = self.channel(session_id)?;
         let plain = channel.open(buffer).map_err(ZkError::from)?;
@@ -100,64 +108,22 @@ impl RequestInterceptor for TlsInterceptor {
     }
 }
 
-/// A client for the TLS-emulated variant: transport-encrypts every message but
-/// relies on the replica (not an enclave) to decrypt it.
-#[derive(Debug)]
-pub struct TlsClient {
-    cluster: SharedCluster,
-    session_id: i64,
-    transport: TransportChannel,
-    next_xid: std::sync::atomic::AtomicI32,
-}
-
-impl TlsClient {
-    /// Connects a TLS-emulated session to `replica`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError`] when the replica is unreachable.
-    pub fn connect(
-        cluster: &SharedCluster,
-        interceptors: &HashMap<zab::NodeId, Arc<TlsInterceptor>>,
-        replica: zab::NodeId,
-    ) -> Result<Self, ZkError> {
-        let response = cluster.lock().connect_default(replica)?;
-        let key = SessionKey::generate();
-        interceptors[&replica].register_session(response.session_id, &key);
-        Ok(TlsClient {
-            cluster: Arc::clone(cluster),
-            session_id: response.session_id,
-            transport: TransportChannel::client_side(&key),
-            next_xid: std::sync::atomic::AtomicI32::new(1),
-        })
-    }
-
-    /// Issues one request over the encrypted channel and returns the response.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError`] on transport or protocol failures.
-    pub fn call(&self, request: &Request) -> Result<Response, ZkError> {
-        let xid = self.next_xid.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let op = request.op();
-        let bytes = request.to_bytes(&RequestHeader { xid, op });
-        let sealed = self.transport.seal(&bytes);
-        let response_sealed = self.cluster.lock().submit_serialized(self.session_id, sealed)?;
-        let plain = self.transport.open(&response_sealed).map_err(ZkError::from)?;
-        let (_, response) = Response::from_bytes(&plain, op)?;
-        Ok(response)
-    }
-}
-
-/// Builds the TLS-emulated cluster together with its per-replica interceptors.
-pub fn tls_cluster(size: usize) -> (SharedCluster, HashMap<zab::NodeId, Arc<TlsInterceptor>>) {
-    let interceptors: Mutex<HashMap<zab::NodeId, Arc<TlsInterceptor>>> = Mutex::new(HashMap::new());
-    let cluster = ZkCluster::with_replica_factory(size, |id| {
-        let interceptor = Arc::new(TlsInterceptor::new());
-        interceptors.lock().insert(zab::NodeId(id), Arc::clone(&interceptor));
-        ZkReplica::new(id).with_interceptor(interceptor)
-    });
-    (share(cluster), interceptors.into_inner())
+/// Binds a loopback server for `variant` and returns it with the client
+/// credentials that variant's sessions connect with.
+fn serve(variant: Variant) -> (ZkTcpServer, Arc<dyn SessionCredentials>) {
+    let (replica, credentials): (Arc<ZkReplica>, Arc<dyn SessionCredentials>) = match variant {
+        Variant::VanillaZk => (Arc::new(ZkReplica::new(1)), Arc::new(PlainCredentials)),
+        Variant::TlsZk => (
+            Arc::new(ZkReplica::new(1).with_interceptor(Arc::new(TlsInterceptor::new()))),
+            Arc::new(SecureSessionCredentials),
+        ),
+        Variant::SecureKeeper => {
+            let config = SecureKeeperConfig::with_label("measured-run");
+            (secure_ensemble_replica(1, &config).0, Arc::new(SecureSessionCredentials))
+        }
+    };
+    let server = ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback server");
+    (server, credentials)
 }
 
 /// Runs `operations` requests of the paper's 70:30 mix with `payload`-byte
@@ -168,108 +134,34 @@ pub fn run_measured(variant: Variant, operations: usize, payload: usize) -> Meas
     let setup = spec.setup_requests();
     let ops = spec.generate(operations);
 
-    let start;
-    match variant {
-        Variant::VanillaZk => {
-            let cluster = share(ZkCluster::new(3));
-            let ids = cluster.lock().replica_ids();
-            let handles: Vec<zkserver::ZkClient> = (0..clients)
-                .map(|i| {
-                    zkserver::ZkClient::connect(&cluster, ids[i % ids.len()]).expect("connect")
-                })
-                .collect();
-            for request in &setup {
-                submit_typed(&handles[0], request);
-            }
-            start = Instant::now();
-            for op in &ops {
-                submit_typed(&handles[op.client % handles.len()], &op.request);
-            }
-        }
-        Variant::TlsZk => {
-            let (cluster, interceptors) = tls_cluster(3);
-            let ids = cluster.lock().replica_ids();
-            let handles: Vec<TlsClient> = (0..clients)
-                .map(|i| {
-                    TlsClient::connect(&cluster, &interceptors, ids[i % ids.len()])
-                        .expect("connect")
-                })
-                .collect();
-            for request in &setup {
-                handles[0].call(request).expect("setup");
-            }
-            start = Instant::now();
-            for op in &ops {
-                handles[op.client % handles.len()].call(&op.request).expect("request");
-            }
-        }
-        Variant::SecureKeeper => {
-            let config = SecureKeeperConfig::with_label("measured-run");
-            let (cluster, sk_handles) = secure_cluster(3, &config);
-            let ids = cluster.lock().replica_ids();
-            let handles: Vec<SecureKeeperClient> = (0..clients)
-                .map(|i| {
-                    SecureKeeperClient::connect(&cluster, &sk_handles, ids[i % ids.len()])
-                        .expect("connect")
-                })
-                .collect();
-            for request in &setup {
-                submit_secure(&handles[0], request);
-            }
-            start = Instant::now();
-            for op in &ops {
-                submit_secure(&handles[op.client % handles.len()], &op.request);
-            }
-        }
+    let (server, credentials) = serve(variant);
+    let mut handles: Vec<ZkTcpClient> = (0..clients)
+        .map(|_| {
+            ZkTcpClient::connect_with(server.local_addr(), Arc::clone(&credentials), 30_000)
+                .expect("connect")
+        })
+        .collect();
+    for request in &setup {
+        call(&mut handles[0], request);
+    }
+    let start = Instant::now();
+    for op in &ops {
+        call(&mut handles[op.client % clients], &op.request);
     }
     let seconds = start.elapsed().as_secs_f64().max(1e-9);
+    for client in handles {
+        client.close();
+    }
+    server.shutdown();
     MeasuredResult { variant, operations, seconds, ops_per_second: operations as f64 / seconds }
 }
 
-fn submit_typed(client: &zkserver::ZkClient, request: &Request) {
-    match request {
-        Request::GetData(get) => {
-            let _ = client.get_data(&get.path, false);
-        }
-        Request::SetData(set) => {
-            let _ = client.set_data(&set.path, set.data.clone(), set.version);
-        }
-        Request::Create(create) => {
-            let _ = client.create(&create.path, create.data.clone(), create.mode);
-        }
-        Request::Delete(delete) => {
-            let _ = client.delete(&delete.path, delete.version);
-        }
-        Request::GetChildren(ls) => {
-            let _ = client.get_children(&ls.path, false);
-        }
-        other => {
-            let _ = other;
-        }
-    }
-}
-
-fn submit_secure(client: &SecureKeeperClient, request: &Request) {
-    match request {
-        Request::GetData(get) => {
-            let _ = client.get_data(&get.path, false);
-        }
-        Request::SetData(set) => {
-            let _ = client.set_data(&set.path, set.data.clone(), set.version);
-        }
-        Request::Create(create) => {
-            let _ = client.create(&create.path, create.data.clone(), create.mode);
-        }
-        Request::Delete(delete) => {
-            let _ = client.delete(&delete.path, delete.version);
-        }
-        Request::GetChildren(ls) => {
-            let _ = client.get_children(&ls.path, false);
-        }
-        other => {
-            let _ = other;
-        }
-    }
+/// Issues one request and waits for its reply; operation-level failures
+/// (an existing node, a missing one) are part of the workload and answered
+/// in-band.
+fn call(client: &mut ZkTcpClient, request: &jute::Request) {
+    let ticket = client.submit(request).expect("submit");
+    client.wait(ticket).expect("reply");
 }
 
 /// Runs all three variants with the same workload and returns the results.
@@ -280,33 +172,22 @@ pub fn compare_variants(operations: usize, payload: usize) -> Vec<MeasuredResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jute::records::CreateMode;
 
     #[test]
     fn tls_emulated_cluster_round_trips_requests() {
-        let (cluster, interceptors) = tls_cluster(3);
-        let replica = cluster.lock().replica_ids()[0];
-        let client = TlsClient::connect(&cluster, &interceptors, replica).unwrap();
-        let response = client
-            .call(&Request::Create(jute::records::CreateRequest {
-                path: "/tls-test".into(),
-                data: b"v".to_vec(),
-                mode: jute::records::CreateMode::Persistent,
-            }))
-            .unwrap();
-        assert!(response.is_ok());
-        let response = client
-            .call(&Request::GetData(jute::records::GetDataRequest {
-                path: "/tls-test".into(),
-                watch: false,
-            }))
-            .unwrap();
-        match response {
-            Response::GetData(get) => assert_eq!(get.data, b"v"),
-            other => panic!("unexpected {other:?}"),
-        }
+        let (server, credentials) = serve(Variant::TlsZk);
+        let mut client =
+            ZkTcpClient::connect_with(server.local_addr(), credentials, 30_000).unwrap();
+        client.create("/tls-test", b"v".to_vec(), CreateMode::Persistent).unwrap();
+        assert_eq!(client.get_data("/tls-test", false).unwrap().0, b"v");
         // Unlike SecureKeeper, the store sees the plaintext path (TLS protects
         // only the wire).
-        assert!(cluster.lock().replica(replica).tree().contains("/tls-test"));
+        assert!(server.replica().tree().contains("/tls-test"));
+        // A plaintext client cannot talk to the TLS server.
+        assert!(ZkTcpClient::connect(server.local_addr()).is_err());
+        client.close();
+        server.shutdown();
     }
 
     #[test]

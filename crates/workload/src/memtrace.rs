@@ -8,14 +8,17 @@
 //!
 //! Our replicas are Rust, not a JVM, so their intrinsic footprint is tiny. To
 //! preserve the figure's argument we report both components explicitly: the
-//! *measured* data-tree footprint of the real in-process replicas, plus a
-//! documented JVM-overhead model (baseline heap + per-request garbage that
-//! accumulates until a collection). The sum reproduces the published curve
-//! shape; the measured tree bytes alone show why SecureKeeper's enclaves can
-//! stay small.
+//! *measured* data-tree footprint of a real replica, plus a documented
+//! JVM-overhead model (baseline heap + per-request garbage that accumulates
+//! until a collection). The sum reproduces the published curve shape; the
+//! measured tree bytes alone show why SecureKeeper's enclaves can stay small.
+//!
+//! One standalone [`ZkReplica`] serves the workload. Members of a ZAB
+//! ensemble apply the same committed writes and so hold byte-identical
+//! trees (the `zkserver` proptests check this), so its footprint stands for
+//! the leader's and each follower's alike.
 
-use zkserver::client::share;
-use zkserver::ZkCluster;
+use zkserver::ZkReplica;
 
 use crate::generator::WorkloadSpec;
 use crate::metrics::Series;
@@ -83,21 +86,13 @@ pub struct ReplicaTrace {
 }
 
 impl MemoryTrace {
-    /// Runs the trace against a real in-process 3-replica cluster and returns
-    /// one [`ReplicaTrace`] per replica.
+    /// Runs the trace against a real replica and returns one
+    /// [`ReplicaTrace`] per member of the paper's 3-replica ensemble.
     pub fn run(&self, jvm: &JvmModel) -> Vec<ReplicaTrace> {
-        let cluster = share(ZkCluster::new(3));
-        let ids = cluster.lock().replica_ids();
-        let leader = cluster.lock().leader_id();
-
-        // Connect the paper's four clients, spread over the replicas.
-        let mut sessions = Vec::new();
-        for i in 0..self.clients {
-            let replica = ids[i % ids.len()];
-            let session =
-                cluster.lock().connect_default(replica).expect("replica alive").session_id;
-            sessions.push(session);
-        }
+        const LABELS: [&str; 3] = ["Leader", "Follower 1", "Follower 2"];
+        let replica = ZkReplica::new(1);
+        let sessions: Vec<i64> =
+            (0..self.clients).map(|_| replica.connect(30_000).session_id).collect();
 
         let spec = WorkloadSpec::paper_mix(self.payload, self.clients);
         let setup = spec.setup_requests();
@@ -105,52 +100,45 @@ impl MemoryTrace {
         let mut ops =
             spec.generate((self.requests_per_second as f64 * self.duration_s) as usize).into_iter();
 
-        let mut traces: Vec<ReplicaTrace> = ids
+        let mut traces: Vec<ReplicaTrace> = LABELS
             .iter()
-            .enumerate()
-            .map(|(i, &id)| ReplicaTrace {
-                label: if id == leader { "Leader".to_string() } else { format!("Follower {i}") },
+            .map(|label| ReplicaTrace {
+                label: (*label).to_string(),
                 tree_bytes: Series::new("tree"),
                 total_bytes: Series::new("total"),
             })
             .collect();
 
-        let mut garbage = vec![0.0f64; ids.len()];
+        // Every replica materializes each write and reads churn buffers on
+        // the serving one, so the modelled garbage grows alike everywhere.
+        let mut garbage = 0.0f64;
         let samples = self.duration_s as usize;
         for second in 0..samples {
             let t = second as f64;
             if t >= self.cluster_start_s && t >= self.workload_start_s {
                 if !setup_done {
                     for request in &setup {
-                        let session = sessions[0];
-                        cluster.lock().submit(session, request);
+                        replica.handle_request(sessions[0], request);
                     }
                     setup_done = true;
                 }
                 for _ in 0..self.requests_per_second {
                     let Some(op) = ops.next() else { break };
-                    let session = sessions[op.client % sessions.len()];
-                    cluster.lock().submit(session, &op.request);
-                    // Every replica materializes the write; reads only touch
-                    // the connected replica. Either way buffers churn.
-                    for g in garbage.iter_mut() {
-                        *g += jvm.garbage_per_request;
-                    }
+                    replica.handle_request(sessions[op.client % sessions.len()], &op.request);
+                    garbage += jvm.garbage_per_request;
                 }
             }
-            let memory = cluster.lock().memory_bytes_per_replica();
-            for (i, &id) in ids.iter().enumerate() {
-                let tree = if t >= self.cluster_start_s { memory[&id] as f64 } else { 0.0 };
-                let jvm_part = if t >= self.cluster_start_s {
-                    if jvm.baseline_bytes + garbage[i] > jvm.gc_threshold_bytes {
-                        garbage[i] = 0.0;
-                    }
-                    jvm.baseline_bytes + garbage[i]
-                } else {
-                    0.0
-                };
-                traces[i].tree_bytes.push(t, tree);
-                traces[i].total_bytes.push(t, tree + jvm_part);
+            let (tree, jvm_part) = if t >= self.cluster_start_s {
+                if jvm.baseline_bytes + garbage > jvm.gc_threshold_bytes {
+                    garbage = 0.0;
+                }
+                (replica.memory_bytes() as f64, jvm.baseline_bytes + garbage)
+            } else {
+                (0.0, 0.0)
+            };
+            for trace in &mut traces {
+                trace.tree_bytes.push(t, tree);
+                trace.total_bytes.push(t, tree + jvm_part);
             }
         }
         traces

@@ -7,11 +7,10 @@
 //! concurrency — socket framing, the per-connection interceptor path, the
 //! event-loop transport inside the replica — instead of a loop.
 //!
-//! The measured per-client loop ([`drive_mixed_get_set`]) is generic over the
-//! [`ZooKeeper`] trait, so the same workload runs against the socket client,
-//! the in-process cluster client, or SecureKeeper's encrypted client;
-//! [`run_mixed_get_set`] merely adds the TCP connection setup and thread
-//! fan-out around it.
+//! The measured per-client loop is [`drive_mixed_get_set`];
+//! [`run_mixed_get_set`] adds the connection setup and thread fan-out around
+//! it. The credentials decide the variant: plain, or SecureKeeper's
+//! enclave-keyed sessions.
 //!
 //! [`ZkTcpServer`]: zkserver::net::ZkTcpServer
 
@@ -21,22 +20,20 @@ use std::time::Instant;
 
 use jute::records::CreateMode;
 use zkserver::net::SessionCredentials;
-use zkserver::{ZkError, ZkTcpClient, ZooKeeper};
+use zkserver::{ZkError, ZkTcpClient};
 
 /// Drives `ops` operations of the deterministic 70:30 GET/SET mix against
-/// `path` on any [`ZooKeeper`] client — the same measured loop runs over the
-/// socket client, the in-process cluster client, or SecureKeeper's encrypted
-/// client unchanged.
+/// `path` on one connection.
 ///
 /// # Errors
 ///
 /// Propagates the client's operation failures.
-pub fn drive_mixed_get_set<C: ZooKeeper>(
-    client: &mut C,
+pub fn drive_mixed_get_set(
+    client: &mut ZkTcpClient,
     path: &str,
     payload: &[u8],
     ops: usize,
-) -> Result<(), C::Error> {
+) -> Result<(), ZkError> {
     for i in 0..ops {
         // Deterministic 70:30 mix, interleaved rather than phased.
         if i % 10 < 7 {
@@ -137,21 +134,6 @@ mod tests {
     use zkserver::net::PlainCredentials;
     use zkserver::session::MonotonicClock;
     use zkserver::{ZkReplica, ZkTcpServer};
-
-    #[test]
-    fn generic_loops_run_over_the_in_process_client() {
-        use jute::records::CreateMode;
-        use zkserver::client::{share, ZkClient};
-        use zkserver::ZkCluster;
-
-        let cluster = share(ZkCluster::new(3));
-        let replica = cluster.lock().replica_ids()[0];
-        let mut client = ZkClient::connect(&cluster, replica).unwrap();
-        client.create("/generic", vec![0x5a; 16], CreateMode::Persistent).unwrap();
-        // The same measured loop that drives TCP sockets runs against the
-        // in-process transport — the point of the unified trait.
-        drive_mixed_get_set(&mut client, "/generic", &[0x5a; 16], 20).unwrap();
-    }
 
     #[test]
     fn mixed_run_reports_all_operations() {

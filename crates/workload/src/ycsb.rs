@@ -5,7 +5,7 @@
 //! operations per payload size. YCSB selects records with a Zipfian
 //! distribution; this module reproduces the request-key distribution and the
 //! read/update mix so the same workload can be replayed against the analytic
-//! model or the real in-process clusters.
+//! model or the real servers.
 
 use jute::records::{CreateMode, CreateRequest, GetDataRequest, SetDataRequest};
 use jute::Request;

@@ -1,12 +1,13 @@
-//! Typed client handles: [`ZkClient`] over an in-process [`ZkCluster`] and
-//! the blocking socket client [`ZkTcpClient`] over a [`crate::net::ZkTcpServer`].
+//! The blocking socket client [`ZkTcpClient`] for a
+//! [`crate::net::ZkTcpServer`] or [`crate::ensemble::ZkEnsembleServer`].
 //!
-//! Both mirror the convenience API of ZooKeeper's Java client: typed
+//! It mirrors the convenience API of ZooKeeper's Java client: typed
 //! `create`/`get_data`/`set_data`/`delete`/`get_children`/`exists` methods,
-//! one-shot watches, and reconnection after a connection loss. The examples
-//! and the benchmark harness both drive the service through this interface,
-//! and the SecureKeeper crate provides drop-in equivalents whose traffic is
-//! transport-encrypted.
+//! one-shot watches, and reconnection after a connection loss. It is the one
+//! client in the workspace: the examples, the workload drivers, the chaos
+//! harness and the benchmark all drive the service through it. SecureKeeper
+//! changes only the [`SessionCredentials`] it connects with, which key the
+//! transport cipher with the entry enclave.
 //!
 //! # Safe retry semantics
 //!
@@ -35,8 +36,6 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use jute::framing::{self, FrameDecoder};
 use jute::multi::{MultiRequest, Op, OpResult};
 use jute::records::{
@@ -46,227 +45,12 @@ use jute::records::{
 };
 use jute::{InputArchive, OutputArchive, Request, Response};
 use trace::{SpanRecord, Stage, TraceContext};
-use zab::NodeId;
 
-use crate::cluster::ZkCluster;
 use crate::error::ZkError;
 use crate::net::{PlainCredentials, SessionCredentials, WireCipher};
 use crate::server::DEFAULT_SESSION_TIMEOUT_MS;
-use crate::typed::{self, MultiDispatch, Txn, ZooKeeper};
+use crate::typed::{self, MultiDispatch, Txn};
 use crate::watch::{WatchEvent, WatchEventKind};
-
-/// A shared handle to an in-process cluster.
-pub type SharedCluster = Arc<Mutex<ZkCluster>>;
-
-/// Wraps a cluster in the shared handle used by clients.
-pub fn share(cluster: ZkCluster) -> SharedCluster {
-    Arc::new(Mutex::new(cluster))
-}
-
-/// A client session against one replica of the cluster.
-#[derive(Debug, Clone)]
-pub struct ZkClient {
-    cluster: SharedCluster,
-    session_id: i64,
-    replica: NodeId,
-}
-
-impl ZkClient {
-    /// Connects a new session to `replica`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::SessionExpired`] if the replica is unreachable.
-    pub fn connect(cluster: &SharedCluster, replica: NodeId) -> Result<Self, ZkError> {
-        let response = cluster.lock().connect_default(replica)?;
-        Ok(ZkClient { cluster: Arc::clone(cluster), session_id: response.session_id, replica })
-    }
-
-    /// The session id assigned by the cluster.
-    pub fn session_id(&self) -> i64 {
-        self.session_id
-    }
-
-    /// The replica this client is connected to.
-    pub fn replica(&self) -> NodeId {
-        self.replica
-    }
-
-    /// Re-establishes the session on a different replica (after a crash of the
-    /// previous one). Ephemeral znodes of the old session are *not* carried
-    /// over, matching ZooKeeper's session-expiry semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::SessionExpired`] if the new replica is unreachable.
-    pub fn reconnect_to(&mut self, replica: NodeId) -> Result<(), ZkError> {
-        let response = self.cluster.lock().connect_default(replica)?;
-        self.session_id = response.session_id;
-        self.replica = replica;
-        Ok(())
-    }
-
-    fn submit(&self, request: &Request) -> Response {
-        self.cluster.lock().submit(self.session_id, request)
-    }
-
-    /// Creates a znode and returns its actual path (with the sequence suffix
-    /// for sequential modes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the service error (`NodeExists`, `NoNode` for a missing
-    /// parent, quorum loss, ...).
-    pub fn create(&self, path: &str, data: Vec<u8>, mode: CreateMode) -> Result<String, ZkError> {
-        let request = Request::Create(CreateRequest { path: path.to_string(), data, mode });
-        typed::expect_create(self.submit(&request), path)
-    }
-
-    /// Reads a znode's payload and metadata.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::NoNode`] if the path does not exist.
-    pub fn get_data(&self, path: &str, watch: bool) -> Result<(Vec<u8>, Stat), ZkError> {
-        let request = Request::GetData(GetDataRequest { path: path.to_string(), watch });
-        typed::expect_get_data(self.submit(&request), path)
-    }
-
-    /// Overwrites a znode's payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::BadVersion`] when `version` does not match, or
-    /// [`ZkError::NoNode`] if the path does not exist.
-    pub fn set_data(&self, path: &str, data: Vec<u8>, version: i32) -> Result<Stat, ZkError> {
-        let request = Request::SetData(SetDataRequest { path: path.to_string(), data, version });
-        typed::expect_set_data(self.submit(&request), path)
-    }
-
-    /// Deletes a znode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::NotEmpty`] when the node still has children,
-    /// [`ZkError::BadVersion`] on a version mismatch, or [`ZkError::NoNode`].
-    pub fn delete(&self, path: &str, version: i32) -> Result<(), ZkError> {
-        let request = Request::Delete(DeleteRequest { path: path.to_string(), version });
-        typed::expect_delete(self.submit(&request), path)
-    }
-
-    /// Lists the children of a znode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::NoNode`] if the path does not exist.
-    pub fn get_children(&self, path: &str, watch: bool) -> Result<Vec<String>, ZkError> {
-        let request = Request::GetChildren(GetChildrenRequest { path: path.to_string(), watch });
-        typed::expect_get_children(self.submit(&request), path)
-    }
-
-    /// Checks whether a znode exists, returning its metadata if it does.
-    ///
-    /// # Errors
-    ///
-    /// Only connection-level failures produce errors; a missing node yields
-    /// `Ok(None)`.
-    pub fn exists(&self, path: &str, watch: bool) -> Result<Option<Stat>, ZkError> {
-        let request = Request::Exists(ExistsRequest { path: path.to_string(), watch });
-        typed::expect_exists(self.submit(&request), path)
-    }
-
-    /// Asserts that a znode exists at the expected version (-1 checks
-    /// existence only) without modifying anything; the check is ordered with
-    /// the write history like any other write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::NoNode`] or [`ZkError::BadVersion`].
-    pub fn check(&self, path: &str, version: i32) -> Result<(), ZkError> {
-        let request = Request::Check(CheckVersionRequest { path: path.to_string(), version });
-        typed::expect_check(self.submit(&request), path)
-    }
-
-    /// Executes `ops` as one atomic transaction and returns the
-    /// per-sub-operation results; aborts are reported in-band (see
-    /// [`MultiDispatch::multi`]). Prefer [`MultiDispatch::txn`] for the
-    /// fluent builder.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport-plane failures (session expiry, quorum loss).
-    pub fn multi(&self, ops: Vec<Op>) -> Result<Vec<OpResult>, ZkError> {
-        let count = ops.len();
-        let request = Request::Multi(MultiRequest::new(ops));
-        typed::expect_multi(self.submit(&request), count)
-    }
-
-    /// Starts an atomic-transaction builder (see [`Txn`]).
-    pub fn txn(&mut self) -> Txn<'_, Self> {
-        MultiDispatch::txn(self)
-    }
-
-    /// Sends a keep-alive ping.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError::SessionExpired`] when the session is gone.
-    pub fn ping(&self) -> Result<(), ZkError> {
-        typed::expect_ping(self.submit(&Request::Ping))
-    }
-
-    /// Drains watch notifications delivered to this session.
-    pub fn take_watch_events(&self) -> Vec<WatchEvent> {
-        self.cluster.lock().take_watch_events(self.session_id)
-    }
-
-    /// Closes the session, removing its ephemeral znodes.
-    pub fn close(self) {
-        self.cluster.lock().close_session(self.session_id);
-    }
-}
-
-impl MultiDispatch for ZkClient {
-    type Error = ZkError;
-
-    fn multi(&mut self, ops: Vec<Op>) -> Result<Vec<OpResult>, ZkError> {
-        ZkClient::multi(self, ops)
-    }
-}
-
-impl ZooKeeper for ZkClient {
-    fn create(&mut self, path: &str, data: Vec<u8>, mode: CreateMode) -> Result<String, ZkError> {
-        ZkClient::create(self, path, data, mode)
-    }
-
-    fn get_data(&mut self, path: &str, watch: bool) -> Result<(Vec<u8>, Stat), ZkError> {
-        ZkClient::get_data(self, path, watch)
-    }
-
-    fn set_data(&mut self, path: &str, data: Vec<u8>, version: i32) -> Result<Stat, ZkError> {
-        ZkClient::set_data(self, path, data, version)
-    }
-
-    fn delete(&mut self, path: &str, version: i32) -> Result<(), ZkError> {
-        ZkClient::delete(self, path, version)
-    }
-
-    fn get_children(&mut self, path: &str, watch: bool) -> Result<Vec<String>, ZkError> {
-        ZkClient::get_children(self, path, watch)
-    }
-
-    fn exists(&mut self, path: &str, watch: bool) -> Result<Option<Stat>, ZkError> {
-        ZkClient::exists(self, path, watch)
-    }
-
-    fn check(&mut self, path: &str, version: i32) -> Result<(), ZkError> {
-        ZkClient::check(self, path, version)
-    }
-
-    fn ping(&mut self) -> Result<(), ZkError> {
-        ZkClient::ping(self)
-    }
-}
 
 /// Callback invoked for every watch notification the server pushes.
 pub type WatchCallback = Box<dyn FnMut(&WatchEvent) + Send>;
@@ -1066,40 +850,6 @@ impl MultiDispatch for ZkTcpClient {
     }
 }
 
-impl ZooKeeper for ZkTcpClient {
-    fn create(&mut self, path: &str, data: Vec<u8>, mode: CreateMode) -> Result<String, ZkError> {
-        ZkTcpClient::create(self, path, data, mode)
-    }
-
-    fn get_data(&mut self, path: &str, watch: bool) -> Result<(Vec<u8>, Stat), ZkError> {
-        ZkTcpClient::get_data(self, path, watch)
-    }
-
-    fn set_data(&mut self, path: &str, data: Vec<u8>, version: i32) -> Result<Stat, ZkError> {
-        ZkTcpClient::set_data(self, path, data, version)
-    }
-
-    fn delete(&mut self, path: &str, version: i32) -> Result<(), ZkError> {
-        ZkTcpClient::delete(self, path, version)
-    }
-
-    fn get_children(&mut self, path: &str, watch: bool) -> Result<Vec<String>, ZkError> {
-        ZkTcpClient::get_children(self, path, watch)
-    }
-
-    fn exists(&mut self, path: &str, watch: bool) -> Result<Option<Stat>, ZkError> {
-        ZkTcpClient::exists(self, path, watch)
-    }
-
-    fn check(&mut self, path: &str, version: i32) -> Result<(), ZkError> {
-        ZkTcpClient::check(self, path, version)
-    }
-
-    fn ping(&mut self) -> Result<(), ZkError> {
-        ZkTcpClient::ping(self)
-    }
-}
-
 /// Reads the xid out of a reply header without consuming the frame.
 fn peek_xid(frame: &[u8]) -> Result<i32, ZkError> {
     let prefix: [u8; 4] = frame
@@ -1134,17 +884,33 @@ fn unknown_ticket(ticket: Ticket) -> ZkError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::watch::WatchEventKind;
+    use crate::ensemble::{EnsembleConfig, ZkEnsembleServer};
+    use crate::net::ZkTcpServer;
+    use crate::server::ZkReplica;
+    use crate::session::MonotonicClock;
 
-    fn cluster() -> SharedCluster {
-        share(ZkCluster::new(3))
+    fn server() -> ZkTcpServer {
+        let replica = Arc::new(ZkReplica::new(1).with_clock(Arc::new(MonotonicClock::new())));
+        ZkTcpServer::bind("127.0.0.1:0", replica).expect("bind loopback")
+    }
+
+    fn connect(server: &ZkTcpServer) -> ZkTcpClient {
+        ZkTcpClient::connect(server.local_addr()).expect("connect")
+    }
+
+    /// Polls `condition` to a 5 s deadline.
+    fn wait_until(what: &str, mut condition: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !condition() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]
     fn typed_crud_cycle() {
-        let cluster = cluster();
-        let replica = cluster.lock().replica_ids()[0];
-        let client = ZkClient::connect(&cluster, replica).unwrap();
+        let server = server();
+        let mut client = connect(&server);
 
         assert_eq!(
             client.create("/app", b"root".to_vec(), CreateMode::Persistent).unwrap(),
@@ -1156,6 +922,10 @@ mod tests {
 
         let stat = client.set_data("/app", b"v2".to_vec(), 0).unwrap();
         assert_eq!(stat.version, 1);
+        assert!(matches!(
+            client.set_data("/app", b"stale".to_vec(), 0),
+            Err(ZkError::BadVersion { .. })
+        ));
         assert!(client.exists("/app", false).unwrap().is_some());
         assert!(client.exists("/nope", false).unwrap().is_none());
 
@@ -1167,13 +937,13 @@ mod tests {
         assert_eq!(client.get_children("/app", false).unwrap(), vec!["b"]);
         assert!(matches!(client.get_data("/app/a", false), Err(ZkError::NoNode { .. })));
         client.ping().unwrap();
+        client.close();
     }
 
     #[test]
     fn sequential_create_returns_generated_path() {
-        let cluster = cluster();
-        let replica = cluster.lock().replica_ids()[0];
-        let client = ZkClient::connect(&cluster, replica).unwrap();
+        let server = server();
+        let mut client = connect(&server);
         client.create("/tasks", vec![], CreateMode::Persistent).unwrap();
         let first =
             client.create("/tasks/task-", vec![], CreateMode::PersistentSequential).unwrap();
@@ -1185,14 +955,13 @@ mod tests {
 
     #[test]
     fn watches_are_delivered_through_the_client() {
-        let cluster = cluster();
-        let ids = cluster.lock().replica_ids();
-        let watcher = ZkClient::connect(&cluster, ids[0]).unwrap();
-        let writer = ZkClient::connect(&cluster, ids[0]).unwrap();
+        let server = server();
+        let mut watcher = connect(&server);
+        let mut writer = connect(&server);
         watcher.create("/watched", b"v1".to_vec(), CreateMode::Persistent).unwrap();
         watcher.get_data("/watched", true).unwrap();
         writer.set_data("/watched", b"v2".to_vec(), -1).unwrap();
-        let events = watcher.take_watch_events();
+        let events = watcher.poll_events(Duration::from_secs(5)).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, WatchEventKind::NodeDataChanged);
         assert_eq!(events[0].path, "/watched");
@@ -1200,39 +969,47 @@ mod tests {
 
     #[test]
     fn ephemeral_nodes_vanish_when_the_client_closes() {
-        let cluster = cluster();
-        let ids = cluster.lock().replica_ids();
-        let member = ZkClient::connect(&cluster, ids[1]).unwrap();
-        let observer = ZkClient::connect(&cluster, ids[2]).unwrap();
+        let server = server();
+        let mut member = connect(&server);
+        let mut observer = connect(&server);
         observer.create("/group", vec![], CreateMode::Persistent).unwrap();
         member.create("/group/member-1", vec![], CreateMode::Ephemeral).unwrap();
         assert_eq!(observer.get_children("/group", false).unwrap().len(), 1);
+        // The close is acknowledged before its ephemeral cleanup commits.
         member.close();
-        assert!(observer.get_children("/group", false).unwrap().is_empty());
+        wait_until("ephemeral cleanup", || {
+            observer.get_children("/group", false).unwrap().is_empty()
+        });
     }
 
     #[test]
     fn client_reconnects_after_replica_crash() {
-        let cluster = cluster();
-        let ids = cluster.lock().replica_ids();
-        let follower = {
-            let guard = cluster.lock();
-            ids.iter().copied().find(|&id| id != guard.leader_id()).unwrap()
+        let config = EnsembleConfig {
+            heartbeat_interval: Duration::from_millis(20),
+            election_timeout: Duration::from_millis(150),
+            election_vote_window: Duration::from_millis(80),
+            poll_interval: Duration::from_millis(5),
+            ..EnsembleConfig::default()
         };
-        let mut client = ZkClient::connect(&cluster, follower).unwrap();
+        let mut servers = ZkEnsembleServer::start_local_ensemble(3, &config, |id| {
+            Arc::new(ZkReplica::new(id).with_clock(Arc::new(MonotonicClock::new())))
+        })
+        .expect("bind loopback ensemble");
+        let follower = servers.iter().position(|s| !s.is_leader()).expect("a follower");
+        let leader_addr = servers.iter().find(|s| s.is_leader()).expect("a leader").client_addr();
+        let mut client = ZkTcpClient::connect(servers[follower].client_addr()).unwrap();
         client.create("/persistent", vec![], CreateMode::Persistent).unwrap();
-        cluster.lock().crash(follower);
+
+        servers.remove(follower).shutdown();
         assert!(client.get_data("/persistent", false).is_err());
-        let target = cluster.lock().leader_id();
-        client.reconnect_to(target).unwrap();
+        client.reconnect_to(leader_addr).unwrap();
         assert!(client.get_data("/persistent", false).is_ok());
     }
 
     #[test]
     fn duplicate_create_reports_node_exists() {
-        let cluster = cluster();
-        let replica = cluster.lock().replica_ids()[0];
-        let client = ZkClient::connect(&cluster, replica).unwrap();
+        let server = server();
+        let mut client = connect(&server);
         client.create("/dup", vec![], CreateMode::Persistent).unwrap();
         assert!(matches!(
             client.create("/dup", vec![], CreateMode::Persistent),

@@ -17,27 +17,39 @@
 //!   state machine);
 //! * [`pipeline`] — the request-processor chain with the byte-buffer
 //!   interception points SecureKeeper's enclaves hook into;
-//! * [`server::ZkReplica`] — a single replica (standalone mode);
-//! * [`cluster::ZkCluster`] — a deterministic in-process ZAB ensemble with
-//!   crash injection and leader failover (simulation experiments);
+//! * [`server::ZkReplica`] — a single replica: the tree, sessions and
+//!   watches, applying writes itself (standalone) or as committed ZAB
+//!   transactions (ensemble member);
 //! * [`net::ZkTcpServer`] — the real TCP wire transport: length-prefixed
 //!   jute frames, concurrent connections, single-writer ordering;
 //! * [`ensemble::ZkEnsembleServer`] — a *networked* ensemble member: ZAB
 //!   over real peer sockets, follower→leader write forwarding, heartbeats,
 //!   leader election, and crash failover;
-//! * [`client::ZkClient`] — a typed client handle used by the examples and
-//!   the benchmark harness;
-//! * [`client::ZkTcpClient`] — the blocking socket client matching
-//!   [`net::ZkTcpServer`];
-//! * [`typed`] — the shared typed-operation layer: the [`typed::ZooKeeper`]
-//!   trait every client flavour implements, the response decoders they all
-//!   share, and the [`typed::Txn`] builder for atomic `multi` transactions.
+//! * [`client::ZkTcpClient`] — the blocking socket client for both servers,
+//!   used by the examples, the workload drivers and the benchmark harness;
+//! * [`typed`] — the response decoders and the [`typed::Txn`] builder for
+//!   atomic `multi` transactions.
+//!
+//! A loopback server and a client are all it takes to use the service:
+//!
+//! ```
+//! use std::sync::Arc;
+//! use jute::records::CreateMode;
+//! use zkserver::{ZkReplica, ZkTcpClient, ZkTcpServer};
+//!
+//! let server = ZkTcpServer::bind("127.0.0.1:0", Arc::new(ZkReplica::new(1)))?;
+//! let mut client = ZkTcpClient::connect(server.local_addr())?;
+//! client.create("/config", b"v0".to_vec(), CreateMode::Persistent)?;
+//! assert_eq!(client.get_data("/config", false)?.0, b"v0");
+//! client.close();
+//! server.shutdown();
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod cluster;
 pub mod ensemble;
 pub mod error;
 pub mod metrics;
@@ -51,8 +63,7 @@ pub mod tree;
 pub mod typed;
 pub mod watch;
 
-pub use client::{ZkClient, ZkTcpClient};
-pub use cluster::ZkCluster;
+pub use client::ZkTcpClient;
 pub use ensemble::{DrainReport, EnsembleConfig, PeerTransport, ZkEnsembleServer};
 pub use error::ZkError;
 pub use jute::multi::{Op, OpResult};
@@ -61,4 +72,4 @@ pub use net::ZkTcpServer;
 pub use persist::{PersistConfig, ReplicaPersistence};
 pub use server::ZkReplica;
 pub use tree::{DataTree, Znode};
-pub use typed::{MultiDispatch, Txn, ZooKeeper};
+pub use typed::{MultiDispatch, Txn};

@@ -2,9 +2,10 @@
 //!
 //! A replica owns the data tree, the sessions of the clients connected to it,
 //! their watches, and the byte-level request path that SecureKeeper's entry
-//! enclave intercepts. In standalone mode the replica orders writes itself;
-//! in cluster mode ([`crate::cluster::ZkCluster`]) writes arrive as committed
-//! ZAB transactions via [`ZkReplica::apply_txn`].
+//! enclave intercepts. Standalone behind a [`crate::net::ZkTcpServer`], the
+//! replica orders writes itself; as a member of a
+//! [`crate::ensemble::ZkEnsembleServer`], writes arrive as committed ZAB
+//! transactions via [`ZkReplica::apply_txn`].
 //!
 //! The replica uses interior mutability throughout so it can be shared
 //! between the threads of the networked transport ([`crate::net`]): reads
@@ -17,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
-use jute::records::{ConnectResponse, OpCode, ReplyHeader, RequestHeader};
+use jute::records::{ConnectResponse, RequestHeader};
 use jute::{Request, Response};
 
 use crate::error::ZkError;
@@ -480,46 +481,10 @@ impl ZkReplica {
         self.apply_write_with_watches(&mut tree, &request, &ctx)
     }
 
-    /// Handles a serialized request buffer exactly as it arrives from the
-    /// client connection: the interceptor sees the raw bytes first (this is
-    /// where SecureKeeper's entry enclave decrypts the transport layer and
-    /// encrypts sensitive fields), then the request is parsed and dispatched,
-    /// and the serialized response passes through the interceptor again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZkError`] when the interceptor rejects the message or the
-    /// buffer cannot be parsed; operation-level failures are reported in-band
-    /// as error responses.
-    pub fn handle_serialized_request(
-        &self,
-        session_id: i64,
-        mut buffer: Vec<u8>,
-    ) -> Result<Vec<u8>, ZkError> {
-        let interceptor = Arc::clone(&self.interceptor);
-        interceptor.on_request(session_id, &mut buffer)?;
-        let (header, request) = Request::from_bytes(&buffer)?;
-        let response = self.handle_request(session_id, &request);
-        let reply =
-            ReplyHeader { xid: header.xid, zxid: self.last_zxid(), err: response.error_code() };
-        let mut response_bytes = response.to_bytes(&reply);
-        interceptor.on_response(session_id, header.op, &mut response_bytes)?;
-        Ok(response_bytes)
-    }
-
-    /// Serializes a request for [`ZkReplica::handle_serialized_request`];
-    /// mirrors what a real client library does before hitting the wire.
+    /// Serializes a request the way a client library puts it on the wire —
+    /// the byte form ZAB transactions carry.
     pub fn serialize_request(xid: i32, request: &Request) -> Vec<u8> {
         request.to_bytes(&RequestHeader { xid, op: request.op() })
-    }
-
-    /// Parses a serialized response produced by this replica.
-    ///
-    /// # Errors
-    ///
-    /// Returns a marshalling error when the buffer cannot be decoded.
-    pub fn parse_response(bytes: &[u8], op: OpCode) -> Result<(ReplyHeader, Response), ZkError> {
-        Ok(Response::from_bytes(bytes, op)?)
     }
 }
 
@@ -528,7 +493,7 @@ mod tests {
     use super::*;
     use crate::session::MonotonicClock;
     use jute::records::{
-        CreateMode, CreateRequest, DeleteRequest, GetChildrenRequest, GetDataRequest,
+        CreateMode, CreateRequest, DeleteRequest, GetChildrenRequest, GetDataRequest, OpCode,
         SetDataRequest,
     };
 
@@ -718,15 +683,40 @@ mod tests {
 
     #[test]
     fn serialized_path_roundtrips_through_interceptor() {
-        let (replica, session) = replica_with_session();
-        let request = create("/via-bytes", CreateMode::Persistent);
-        let bytes = ZkReplica::serialize_request(5, &request);
-        let response_bytes = replica.handle_serialized_request(session, bytes).unwrap();
-        let (header, response) =
-            ZkReplica::parse_response(&response_bytes, OpCode::Create).unwrap();
-        assert_eq!(header.xid, 5);
-        assert!(response.is_ok());
+        use std::sync::atomic::AtomicUsize;
+
+        /// Passes bytes through, checking that it sees the jute request.
+        #[derive(Default)]
+        struct Count {
+            requests: AtomicUsize,
+            responses: AtomicUsize,
+        }
+        impl RequestInterceptor for Count {
+            fn on_request(&self, _session: i64, buffer: &mut Vec<u8>) -> Result<(), ZkError> {
+                Request::from_bytes(buffer)?;
+                self.requests.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            fn on_response(
+                &self,
+                _session: i64,
+                _op: OpCode,
+                _buffer: &mut Vec<u8>,
+            ) -> Result<(), ZkError> {
+                self.responses.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+        }
+        let count = Arc::new(Count::default());
+        let replica = Arc::new(ZkReplica::new(1).with_interceptor(Arc::clone(&count) as _));
+        let server = crate::net::ZkTcpServer::bind("127.0.0.1:0", Arc::clone(&replica)).unwrap();
+        let mut client = crate::ZkTcpClient::connect(server.local_addr()).unwrap();
+        let path = client.create("/via-bytes", vec![], CreateMode::Persistent).unwrap();
+        assert_eq!(path, "/via-bytes");
         assert!(replica.tree().contains("/via-bytes"));
+        assert_eq!(count.requests.load(Ordering::Relaxed), 1);
+        assert_eq!(count.responses.load(Ordering::Relaxed), 1);
+        server.shutdown();
     }
 
     #[test]
@@ -737,10 +727,15 @@ mod tests {
                 Err(ZkError::Marshalling { reason: "tampered".into() })
             }
         }
-        let replica = ZkReplica::new(1).with_interceptor(Arc::new(Reject));
-        let session = replica.connect(1000).session_id;
-        let bytes = ZkReplica::serialize_request(1, &Request::Ping);
-        assert!(replica.handle_serialized_request(session, bytes).is_err());
+        let replica = Arc::new(ZkReplica::new(1).with_interceptor(Arc::new(Reject)));
+        let server = crate::net::ZkTcpServer::bind("127.0.0.1:0", Arc::clone(&replica)).unwrap();
+        let mut client = crate::ZkTcpClient::connect(server.local_addr()).unwrap();
+        assert!(matches!(
+            client.create("/never", vec![], CreateMode::Persistent),
+            Err(ZkError::ConnectionLoss { .. })
+        ));
+        assert!(!replica.tree().contains("/never"));
+        server.shutdown();
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub struct SessionRecord {
     pub password: Vec<u8>,
 }
 
-/// Tracks all sessions of one replica (or of the whole in-process cluster).
+/// Tracks all sessions of one replica.
 #[derive(Debug, Default)]
 pub struct SessionManager {
     sessions: HashMap<i64, Session>,

@@ -1,10 +1,10 @@
 //! The shared typed operation layer.
 //!
-//! Every client handle in the workspace — the in-process [`crate::ZkClient`],
-//! the socket [`crate::ZkTcpClient`], and SecureKeeper's encrypted
-//! equivalents — exposes the same convenience surface (`create`, `get_data`,
-//! `set_data`, `delete`, `get_children`, `exists`, `ping`, `multi`). Only the
-//! transport differs. This module holds the parts they share:
+//! The socket client [`crate::ZkTcpClient`] — and through it SecureKeeper's
+//! encrypted sessions, which differ only in their credentials — exposes
+//! ZooKeeper's convenience surface (`create`, `get_data`, `set_data`,
+//! `delete`, `get_children`, `exists`, `ping`, `multi`). This module holds
+//! the parts of that surface that do not depend on the transport:
 //!
 //! * the `expect_*` decoders that turn a wire [`Response`] into the typed
 //!   result or the typed [`ZkError`], so the response-match boilerplate lives
@@ -193,123 +193,17 @@ pub trait MultiDispatch {
     }
 }
 
-/// The unified typed client API: every client flavour in the workspace —
-/// the in-process [`crate::ZkClient`], the socket [`crate::ZkTcpClient`],
-/// and SecureKeeper's encrypted `SecureKeeperClient` — implements this one
-/// trait, so workload drivers, chaos scenarios and end-to-end tests can be
-/// written once and run against any transport.
-///
-/// The operation set mirrors ZooKeeper's client library: `create`,
-/// `get_data`, `set_data`, `delete`, `get_children` (ls), `exists`, `check`
-/// and `ping`, plus atomic `multi`/`txn` through the [`MultiDispatch`]
-/// supertrait. All methods take `&mut self` because socket clients mutate
-/// connection state (xid counters, frame decoders); the in-process clients
-/// simply ignore the exclusivity.
-///
-/// Error granularity stays per-client ([`crate::ZkError`] for the plain
-/// clients, `SkError` for SecureKeeper); generic code that needs to match
-/// on specific errors constrains `Error = ZkError`, while code that only
-/// propagates can stay fully generic:
-///
-/// ```
-/// use jute::records::CreateMode;
-/// use zkserver::typed::ZooKeeper;
-/// use zkserver::client::{share, ZkClient};
-/// use zkserver::ZkCluster;
-/// use zab::NodeId;
-///
-/// fn heartbeat_file<C: ZooKeeper>(zk: &mut C, path: &str) -> Result<(), C::Error> {
-///     zk.create(path, b"alive".to_vec(), CreateMode::Ephemeral)?;
-///     zk.ping()
-/// }
-///
-/// let cluster = share(ZkCluster::new(3));
-/// let mut client = ZkClient::connect(&cluster, NodeId(1))?;
-/// heartbeat_file(&mut client, "/member-1")?;
-/// # Ok::<(), zkserver::ZkError>(())
-/// ```
-pub trait ZooKeeper: MultiDispatch {
-    /// Creates a znode and returns its actual path (with the sequence
-    /// suffix for sequential modes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the service error (`NodeExists`, `NoNode` for a missing
-    /// parent, connection loss, ...).
-    fn create(
-        &mut self,
-        path: &str,
-        data: Vec<u8>,
-        mode: CreateMode,
-    ) -> Result<String, Self::Error>;
-
-    /// Reads a znode's payload and metadata, optionally arming a one-shot
-    /// data watch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the client's `NoNode` error if the path does not exist.
-    fn get_data(&mut self, path: &str, watch: bool) -> Result<(Vec<u8>, Stat), Self::Error>;
-
-    /// Overwrites a znode's payload (-1 skips the version guard).
-    ///
-    /// # Errors
-    ///
-    /// Returns `BadVersion` on a version mismatch or `NoNode`.
-    fn set_data(&mut self, path: &str, data: Vec<u8>, version: i32) -> Result<Stat, Self::Error>;
-
-    /// Deletes a znode (-1 skips the version guard).
-    ///
-    /// # Errors
-    ///
-    /// Returns `NotEmpty`, `BadVersion` or `NoNode` as appropriate.
-    fn delete(&mut self, path: &str, version: i32) -> Result<(), Self::Error>;
-
-    /// Lists the children of a znode (ZooKeeper's `ls`), optionally arming
-    /// a one-shot child watch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the client's `NoNode` error if the path does not exist.
-    fn get_children(&mut self, path: &str, watch: bool) -> Result<Vec<String>, Self::Error>;
-
-    /// Checks whether a znode exists; a missing node is `Ok(None)`, not an
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// Only connection-level failures produce errors.
-    fn exists(&mut self, path: &str, watch: bool) -> Result<Option<Stat>, Self::Error>;
-
-    /// Asserts that a znode exists at the expected version (-1 checks
-    /// existence only) without modifying anything.
-    ///
-    /// # Errors
-    ///
-    /// Returns `NoNode` or `BadVersion`.
-    fn check(&mut self, path: &str, version: i32) -> Result<(), Self::Error>;
-
-    /// Sends a keep-alive ping.
-    ///
-    /// # Errors
-    ///
-    /// Returns the client's session-expiry error when the session is gone.
-    fn ping(&mut self) -> Result<(), Self::Error>;
-}
-
 /// A fluent builder for atomic transactions, terminated by [`Txn::commit`].
 ///
-/// The same builder runs against every client flavour; here against the
-/// in-process cluster client:
+/// Here against a loopback server:
 ///
 /// ```
+/// use std::sync::Arc;
 /// use jute::records::CreateMode;
-/// use zkserver::client::{share, ZkClient};
-/// use zkserver::{MultiDispatch, OpResult, ZkCluster};
-/// use zab::NodeId;
+/// use zkserver::{OpResult, ZkReplica, ZkTcpClient, ZkTcpServer};
 ///
-/// let cluster = share(ZkCluster::new(3));
-/// let mut client = ZkClient::connect(&cluster, NodeId(1))?;
+/// let server = ZkTcpServer::bind("127.0.0.1:0", Arc::new(ZkReplica::new(1)))?;
+/// let mut client = ZkTcpClient::connect(server.local_addr())?;
 /// client.create("/config", b"v0".to_vec(), CreateMode::Persistent)?;
 ///
 /// // Guarded read-modify-write with an audit trail, applied at one zxid:
@@ -325,7 +219,7 @@ pub trait ZooKeeper: MultiDispatch {
 /// // failing sub-operation's typed error comes back:
 /// let err = client.txn().check("/config", 0).delete("/config", -1).commit();
 /// assert!(matches!(err, Err(zkserver::ZkError::BadVersion { .. })));
-/// # Ok::<(), zkserver::ZkError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[must_use = "a transaction does nothing until commit() is called"]
 pub struct Txn<'c, C: MultiDispatch + ?Sized> {

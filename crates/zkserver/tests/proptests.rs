@@ -1,14 +1,16 @@
-//! Property-based tests for the data tree and the replicated cluster:
-//! structural invariants hold under arbitrary operation sequences, and all
-//! replicas converge to identical state regardless of which replica clients
-//! talk to.
+//! Property-based tests for the data tree and replicated state: structural
+//! invariants hold under arbitrary operation sequences, and replicas fed by
+//! one ZAB ensemble converge to identical state regardless of which replica
+//! clients talk to.
 
 use proptest::prelude::*;
 
 use jute::records::{CreateMode, CreateRequest, DeleteRequest, SetDataRequest};
 use jute::Request;
+use zab::{NodeId, ZabCluster};
+use zkserver::ops::WriteTxn;
 use zkserver::tree::{split_path, validate_path};
-use zkserver::{DataTree, ZkCluster};
+use zkserver::{DataTree, ZkReplica};
 
 /// A randomly generated tree operation over a bounded name space.
 #[derive(Debug, Clone)]
@@ -141,17 +143,30 @@ proptest! {
 
     #[test]
     fn replicas_converge_regardless_of_the_connected_replica(
-        choices in proptest::collection::vec((0usize..3, 0usize..4, any::<bool>()), 1..40)
+        choices in proptest::collection::vec(
+            (0usize..3, 0usize..4, any::<bool>(), any::<bool>()),
+            1..40,
+        )
     ) {
-        let mut cluster = ZkCluster::new(3);
-        let ids = cluster.replica_ids();
-        let sessions: Vec<i64> = ids
-            .iter()
-            .map(|&id| cluster.connect_default(id).unwrap().session_id)
-            .collect();
+        // Three replicas behind one ZAB ensemble: every write is ordered by
+        // ZAB and applied by each replica in commit order, whichever
+        // replica's session issued it. A follower that sits out part of the
+        // stream catches up from the leader when it comes back.
+        let mut zab = ZabCluster::new(3);
+        let ids = zab.node_ids().to_vec();
+        let replicas: Vec<ZkReplica> = ids.iter().map(|id| ZkReplica::new(id.0)).collect();
+        let sessions: Vec<i64> =
+            replicas.iter().map(|replica| replica.connect(30_000).session_id).collect();
+        let straggler = ids[2];
 
-        for (replica_choice, node_choice, delete) in choices {
-            let session = sessions[replica_choice % sessions.len()];
+        for (replica_choice, node_choice, delete, bounce) in choices {
+            if bounce {
+                if zab.is_crashed(straggler) {
+                    zab.recover(straggler);
+                } else {
+                    zab.crash(straggler);
+                }
+            }
             let path = format!("/node-{}", node_choice % 4);
             let request = if delete {
                 Request::Delete(DeleteRequest { path, version: -1 })
@@ -160,13 +175,40 @@ proptest! {
             } else {
                 Request::SetData(SetDataRequest { path, data: vec![2], version: -1 })
             };
-            cluster.submit(session, &request);
+            let txn = WriteTxn {
+                session_id: sessions[replica_choice],
+                time_ms: 0,
+                request_bytes: ZkReplica::serialize_request(0, &request),
+            };
+            prop_assert!(zab.broadcast(txn.to_bytes()).is_some(), "two of three form a quorum");
+            apply_committed(&mut zab, &ids, &replicas);
         }
+        if zab.is_crashed(straggler) {
+            zab.recover(straggler);
+        }
+        apply_committed(&mut zab, &ids, &replicas);
 
         // Whatever happened, all replicas hold byte-identical trees.
-        let reference = cluster.replica(ids[0]).tree().paths();
-        for &id in &ids[1..] {
-            prop_assert_eq!(cluster.replica(id).tree().paths(), reference.clone());
+        let reference = replicas[0].tree();
+        for replica in &replicas[1..] {
+            let tree = replica.tree();
+            prop_assert_eq!(tree.nodes_sorted(), reference.nodes_sorted());
+            prop_assert_eq!(replica.memory_bytes(), replicas[0].memory_bytes());
+            prop_assert_eq!(replica.last_zxid(), replicas[0].last_zxid());
+        }
+    }
+}
+
+/// Applies every newly committed transaction on every live replica, in
+/// commit order.
+fn apply_committed(zab: &mut ZabCluster, ids: &[NodeId], replicas: &[ZkReplica]) {
+    for (id, replica) in ids.iter().zip(replicas) {
+        if zab.is_crashed(*id) {
+            continue;
+        }
+        for txn in zab.take_committed(*id) {
+            let write = WriteTxn::from_bytes(&txn.payload).expect("well-formed txn");
+            replica.apply_txn(txn.zxid.as_u64() as i64, &write);
         }
     }
 }

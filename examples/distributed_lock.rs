@@ -15,28 +15,30 @@
 //! cargo run --example distributed_lock
 //! ```
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use jute::records::CreateMode;
-use securekeeper::integration::{secure_cluster, SecureKeeperConfig, SecureKeeperHandles};
-use securekeeper::SecureKeeperClient;
-use zkserver::client::SharedCluster;
+use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
+use securekeeper::SecureSessionCredentials;
+use zkserver::ensemble::{EnsembleConfig, ZkEnsembleServer};
+use zkserver::ZkTcpClient;
 
 /// One lock contender.
 struct Contender {
     name: &'static str,
-    client: SecureKeeperClient,
+    client: ZkTcpClient,
     lock_node: Option<String>,
 }
 
+fn connect(member: &ZkEnsembleServer) -> ZkTcpClient {
+    ZkTcpClient::connect_with(member.client_addr(), Arc::new(SecureSessionCredentials), 30_000)
+        .expect("connect")
+}
+
 impl Contender {
-    fn connect(
-        name: &'static str,
-        cluster: &SharedCluster,
-        handles: &SecureKeeperHandles,
-        replica_index: usize,
-    ) -> Self {
-        let replica = cluster.lock().replica_ids()[replica_index];
-        let client = SecureKeeperClient::connect(cluster, handles, replica).expect("connect");
-        Contender { name, client, lock_node: None }
+    fn connect(name: &'static str, member: &ZkEnsembleServer) -> Self {
+        Contender { name, client: connect(member), lock_node: None }
     }
 
     /// Enqueues for the lock and returns the acquired sequence position.
@@ -53,14 +55,40 @@ impl Contender {
         path
     }
 
-    /// True if this contender currently holds the lock (owns the lowest
-    /// sequence number in the queue).
-    fn holds_lock(&self) -> bool {
-        let Some(my_node) = &self.lock_node else { return false };
-        let my_name = my_node.rsplit('/').next().expect("node name");
+    /// The queue as this contender's member currently sees it, in order.
+    fn queue(&mut self) -> Vec<String> {
         let mut children = self.client.get_children("/locks/resource", false).expect("list queue");
         children.sort();
-        children.first().map(String::as_str) == Some(my_name)
+        children
+    }
+
+    /// True if this contender currently holds the lock (owns the lowest
+    /// sequence number in the queue).
+    fn holds_lock(&mut self) -> bool {
+        let Some(my_node) = self.lock_node.clone() else { return false };
+        let my_name = my_node.rsplit('/').next().expect("node name");
+        self.queue().first().map(String::as_str) == Some(my_name)
+    }
+
+    /// Blocks until this contender holds the lock: watch the node just ahead
+    /// in the queue and re-check when it goes away. The watch also covers a
+    /// member that has not yet applied the predecessor's release, since
+    /// reads are served by the member the client is connected to.
+    fn wait_for_lock(&mut self) {
+        let my_node = self.lock_node.clone().expect("enqueued");
+        let my_name = my_node.rsplit('/').next().expect("node name").to_string();
+        loop {
+            let queue = self.queue();
+            let position = queue.iter().position(|n| *n == my_name).expect("still enqueued");
+            if position == 0 {
+                return;
+            }
+            let predecessor = format!("/locks/resource/{}", queue[position - 1]);
+            if self.client.exists(&predecessor, true).expect("watch predecessor").is_some() {
+                let events = self.client.poll_events(Duration::from_secs(10)).expect("watch");
+                assert!(!events.is_empty(), "{}: predecessor never went away", self.name);
+            }
+        }
     }
 
     /// Releases the lock by deleting the owned znode.
@@ -73,21 +101,22 @@ impl Contender {
 
 fn main() {
     let config = SecureKeeperConfig::generate();
-    let (cluster, handles) = secure_cluster(3, &config);
+    let members = ZkEnsembleServer::start_local_ensemble(3, &EnsembleConfig::default(), |id| {
+        secure_ensemble_replica(id, &config).0
+    })
+    .expect("bind loopback ensemble");
 
     // Set up the lock root.
-    let admin_replica = cluster.lock().replica_ids()[0];
-    let admin =
-        SecureKeeperClient::connect(&cluster, &handles, admin_replica).expect("connect admin");
+    let mut admin = connect(&members[0]);
     admin.create("/locks", Vec::new(), CreateMode::Persistent).expect("create /locks");
     admin
         .create("/locks/resource", Vec::new(), CreateMode::Persistent)
         .expect("create /locks/resource");
 
-    // Three contenders connect to three different replicas.
-    let mut alice = Contender::connect("alice", &cluster, &handles, 0);
-    let mut bob = Contender::connect("bob", &cluster, &handles, 1);
-    let mut carol = Contender::connect("carol", &cluster, &handles, 2);
+    // Three contenders connect to three different members.
+    let mut alice = Contender::connect("alice", &members[0]);
+    let mut bob = Contender::connect("bob", &members[1]);
+    let mut carol = Contender::connect("carol", &members[2]);
 
     let a = alice.contend();
     let b = bob.contend();
@@ -100,6 +129,7 @@ fn main() {
     println!("alice holds the lock");
 
     alice.release();
+    bob.wait_for_lock();
     assert!(bob.holds_lock(), "bob is next in line");
     assert!(!carol.holds_lock());
     println!("alice released; bob holds the lock");
@@ -107,14 +137,19 @@ fn main() {
     // Bob's process dies (session closes) — its ephemeral node disappears and
     // carol takes over without any explicit release.
     bob.client.close();
+    carol.wait_for_lock();
     assert!(carol.holds_lock(), "carol inherits the lock after bob's session ends");
     println!("bob's session ended; carol holds the lock");
 
-    // Throughout all of this the untrusted store only ever saw encrypted names.
-    let guard = cluster.lock();
-    let leader = guard.leader_id();
-    for path in guard.replica(leader).tree().paths() {
-        assert!(!path.contains("lock-"), "lock queue names must be encrypted, saw {path}");
+    // Throughout all of this the untrusted members only ever saw encrypted
+    // names.
+    for member in &members {
+        for path in member.replica().tree().paths() {
+            assert!(!path.contains("lock-"), "lock queue names must be encrypted, saw {path}");
+        }
+    }
+    for member in members {
+        member.shutdown();
     }
     println!("lock queue names never appeared in plaintext in the store ✔");
 }

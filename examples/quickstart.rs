@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use jute::records::CreateMode;
-use securekeeper::integration::{secure_standalone, SecureKeeperConfig};
+use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
 use securekeeper::SecureSessionCredentials;
 use zkserver::net::ZkTcpServer;
 use zkserver::ZkTcpClient;
@@ -22,7 +22,7 @@ fn main() {
     //    SecureKeeper replica — entry-enclave manager and counter enclave
     //    sharing that key — listening on a real TCP socket.
     let config = SecureKeeperConfig::generate();
-    let (replica, interceptor, _counter) = secure_standalone(&config);
+    let (replica, interceptor, _counter) = secure_ensemble_replica(1, &config);
     let server = ZkTcpServer::bind("127.0.0.1:0", Arc::clone(&replica)).expect("bind loopback");
     println!("SecureKeeper replica listening on {}", server.local_addr());
 

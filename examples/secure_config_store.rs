@@ -9,14 +9,24 @@
 //! cargo run --example secure_config_store
 //! ```
 
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use jute::records::CreateMode;
-use securekeeper::integration::{secure_cluster, SecureKeeperConfig};
+use securekeeper::integration::{secure_ensemble_replica, SecureKeeperConfig};
 use securekeeper::keymgmt::{obtain_storage_key, provision_replica, ReplicaKeyStore};
-use securekeeper::SecureKeeperClient;
+use securekeeper::SecureSessionCredentials;
 use sgx_sim::attestation::{AttestationService, QuotingEnclave};
 use sgx_sim::sealing::PlatformSecret;
 use sgx_sim::{EnclaveBuilder, Epc};
 use zkcrypto::keys::StorageKey;
+use zkserver::ensemble::{EnsembleConfig, ZkEnsembleServer};
+use zkserver::ZkTcpClient;
+
+fn connect(member: &ZkEnsembleServer) -> ZkTcpClient {
+    ZkTcpClient::connect_with(member.client_addr(), Arc::new(SecureSessionCredentials), 30_000)
+        .expect("connect")
+}
 
 fn main() {
     // ------------------------------------------------------------------
@@ -61,10 +71,12 @@ fn main() {
     // ------------------------------------------------------------------
     let config =
         SecureKeeperConfig { storage_key: cluster_storage_key, ..SecureKeeperConfig::generate() };
-    let (cluster, handles) = secure_cluster(3, &config);
-    let replicas = cluster.lock().replica_ids();
+    let members = ZkEnsembleServer::start_local_ensemble(3, &EnsembleConfig::default(), |id| {
+        secure_ensemble_replica(id, &config).0
+    })
+    .expect("bind loopback ensemble");
 
-    let ops_team = SecureKeeperClient::connect(&cluster, &handles, replicas[0]).expect("connect");
+    let mut ops_team = connect(&members[0]);
     ops_team.create("/config", Vec::new(), CreateMode::Persistent).expect("create /config");
     ops_team
         .create("/config/payments", Vec::new(), CreateMode::Persistent)
@@ -80,9 +92,15 @@ fn main() {
         .create("/config/payments/api-key", b"sk_live_51HGx...".to_vec(), CreateMode::Persistent)
         .expect("store credential");
 
-    // A service instance connected to another replica reads its configuration.
-    let service_instance =
-        SecureKeeperClient::connect(&cluster, &handles, replicas[1]).expect("connect");
+    // A service instance connected to another member reads its
+    // configuration. Reads are served locally, so it first lets that member
+    // catch up with everything the ops team wrote (ZooKeeper's `sync`).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while members[1].last_applied_zxid() < ops_team.last_zxid() {
+        assert!(Instant::now() < deadline, "member 2 never caught up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut service_instance = connect(&members[1]);
     let keys = service_instance.get_children("/config/payments", false).expect("list config keys");
     println!("configuration keys for the payments service: {keys:?}");
     for key in &keys {
@@ -108,17 +126,20 @@ fn main() {
     assert!(stale_update.is_err(), "stale concurrent update must be rejected");
     println!("credential rotated; stale concurrent update rejected ✔");
 
-    // What the cloud operator sees on disk/memory of a replica: ciphertext only.
-    let guard = cluster.lock();
-    let leader = guard.leader_id();
+    // What the cloud operator sees in the memory of any member: ciphertext only.
     let mut leaked = 0;
-    for path in guard.replica(leader).tree().paths() {
-        for fragment in ["config", "payments", "database", "api-key"] {
-            if path.contains(fragment) {
-                leaked += 1;
+    for member in &members {
+        for path in member.replica().tree().paths() {
+            for fragment in ["config", "payments", "database", "api-key"] {
+                if path.contains(fragment) {
+                    leaked += 1;
+                }
             }
         }
     }
     assert_eq!(leaked, 0);
+    for member in members {
+        member.shutdown();
+    }
     println!("no configuration names or secrets visible to the untrusted replicas ✔");
 }
